@@ -77,6 +77,52 @@ sabrePass(const Circuit &sub, const device::Topology &topo,
         return ext;
     };
 
+    // Swap device qubits p and q under phi; inv is phi's inverse and
+    // is kept in sync.
+    auto applySwap = [&](std::vector<int> &inv, int p, int q) {
+        if (inv[p] >= 0)
+            phi[inv[p]] = q;
+        if (inv[q] >= 0)
+            phi[inv[q]] = p;
+        std::swap(inv[p], inv[q]);
+        if (emit)
+            out.deviceOps.push_back(Op::swap(p, q));
+        ++out.swaps;
+    };
+
+    // Release valve, as in Qiskit's SabreSwap: after this many swaps
+    // in a row that let no gate execute, the heuristic is cycling.
+    // Walk the nearest front gate (ties: smallest gate index) along a
+    // shortest path until it is adjacent, then reset the decay.
+    const int valve_after = 10 * topo.numQubits();
+    int since_progress = 0;
+    auto releaseValve = [&]() {
+        int g = *std::min_element(
+            front.begin(), front.end(), [&](int a, int b) {
+                return std::make_pair(distUnder(phi, a), a) <
+                       std::make_pair(distUnder(phi, b), b);
+            });
+        auto inv = qap::invertPlacement(phi, topo.numQubits());
+        const Op &o = sub.op(g);
+        const int target = phi[o.q1];
+        for (int at = phi[o.q0]; topo.dist(at, target) > 1;
+             at = phi[o.q0]) {
+            const int closer = topo.dist(at, target) - 1;
+            int step = -1;
+            for (int nb : topo.neighbors(at))
+                if (topo.dist(nb, target) == closer &&
+                    (step < 0 || nb < step))
+                    step = nb;
+            if (step < 0)
+                break;  // disconnected: left to the livelock guard
+            applySwap(inv, at, step);
+        }
+        std::fill(decay.begin(), decay.end(), 1.0);
+        rounds_since_reset = 0;
+        since_progress = 0;
+    };
+
+    // Backstop; the release valve keeps real inputs far below it.
     long guard = 0;
     const long max_swaps =
         20L * std::max(1, m) * std::max(2, topo.numQubits());
@@ -108,6 +154,7 @@ sabrePass(const Circuit &sub, const device::Topology &topo,
                     if (--indeg[w] == 0)
                         front.push_back(w);
                 any = true;
+                since_progress = 0;
                 break;
             }
         }
@@ -116,6 +163,10 @@ sabrePass(const Circuit &sub, const device::Topology &topo,
 
         if (++guard > max_swaps)
             throw std::runtime_error("sabre: livelock guard tripped");
+        if (since_progress >= valve_after) {
+            releaseValve();
+            continue;
+        }
 
         // Candidate SWAPs: edges incident to front-gate qubits.
         std::set<std::pair<int, int>> cands;
@@ -166,13 +217,8 @@ sabrePass(const Circuit &sub, const device::Topology &topo,
         }
 
         auto [p, q] = best_swap;
-        if (inv[p] >= 0)
-            phi[inv[p]] = q;
-        if (inv[q] >= 0)
-            phi[inv[q]] = p;
-        if (emit)
-            out.deviceOps.push_back(Op::swap(p, q));
-        ++out.swaps;
+        applySwap(inv, p, q);
+        ++since_progress;
         decay[p] += opt.decayDelta;
         decay[q] += opt.decayDelta;
         if (++rounds_since_reset >= opt.decayReset) {

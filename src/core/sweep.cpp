@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <istream>
 #include <limits>
 #include <sstream>
@@ -13,12 +14,14 @@
 #include "core/hash.h"
 #include "core/profile.h"
 #include "core/router_registry.h"
-#include "robust/fault.h"
 #include "device/devices.h"
 #include "graph/random_graph.h"
 #include "ham/models.h"
 #include "ham/qaoa.h"
 #include "ham/trotter.h"
+#include "robust/fault.h"
+#include "robust/record_log.h"
+#include "service/json.h"
 #include "sim/engine.h"
 #include "sim/noise.h"
 #include "sim/reference.h"
@@ -811,14 +814,112 @@ scoreSweepShard(const BatchJob &bj, const BatchCompiler &bc,
     }
 }
 
-/** Campaign identity of a spec: every knob that shapes a shard's
- * payload, so a journal can never be resumed under a different
- * grid. */
+/**
+ * Shard payload codecs.  Rows are rebuilt from payloads alone, fresh
+ * or restored, so every field must round-trip exactly: strings as
+ * raw bytes, doubles as their bit patterns, integers little-endian
+ * (robust/record_log.h).  The magic is part of the campaign config
+ * tag, so --resume rejects a journal written in another payload
+ * format instead of misreading it.
+ */
+constexpr char kSweepPayloadMagic[] = "SWR1";
+constexpr char kBenchPayloadMagic[] = "BNR1";
+
+struct PayloadWriter
+{
+    std::string buf;
+    void operator()(const std::string &s) { robust::putStr(buf, s); }
+    void operator()(int v)
+    {
+        robust::putU32(buf, static_cast<std::uint32_t>(v));
+    }
+    void operator()(double v)
+    {
+        std::uint64_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        robust::putU64(buf, bits);
+    }
+};
+
+struct PayloadReader
+{
+    robust::ByteReader rd;
+    void operator()(std::string &s) { s = rd.str(); }
+    void operator()(int &v) { v = static_cast<int>(rd.u32()); }
+    void operator()(double &v)
+    {
+        std::uint64_t bits = rd.u64();
+        std::memcpy(&v, &bits, sizeof v);
+    }
+};
+
+/** The one field list of each row type, walked by both directions. */
+template <typename Io>
+void
+rowFields(SweepRow &r, Io &io)
+{
+    CompilationMetrics &m = r.metrics;
+    for (std::string *f : {&r.experiment, &r.benchmark, &r.device,
+                           &r.gateset, &r.backend, &r.error})
+        io(*f);
+    for (int *v : {&r.nqubits, &r.instance, &m.swaps, &m.dressed,
+                   &m.native2q, &m.depth2q, &m.depthAll,
+                   &m.native2qNoMap, &m.depth2qNoMap,
+                   &m.depthAllNoMap})
+        io(*v);
+    for (double *v : {&r.seconds, &r.mappingSeconds, &r.routingSeconds,
+                      &r.schedulingSeconds})
+        io(*v);
+}
+
+template <typename Io>
+void
+rowFields(BenchRow &b, Io &io)
+{
+    for (std::string *f :
+         {&b.benchmark, &b.device, &b.gateset, &b.backend, &b.error})
+        io(*f);
+    for (int *v : {&b.nqubits, &b.instance, &b.swaps, &b.depth2q})
+        io(*v);
+    for (double *v : {&b.medianSeconds, &b.minSeconds, &b.maxSeconds,
+                      &b.mappingSeconds, &b.routingSeconds,
+                      &b.schedulingSeconds})
+        io(*v);
+}
+
+template <typename Row>
 std::string
-sweepConfigTag(const char *kind, const SweepSpec &spec)
+encodeRow(Row row, const char *magic)
+{
+    PayloadWriter w{std::string(magic, 4)};
+    rowFields(row, w);
+    return w.buf;
+}
+
+template <typename Row>
+Row
+decodeRow(const std::string &payload, const char *magic)
+{
+    PayloadReader r{robust::ByteReader(payload, "shard payload")};
+    if (r.rd.bytes(4) != magic)
+        throw std::runtime_error("shard payload: bad magic");
+    Row row;
+    rowFields(row, r);
+    if (r.rd.remaining() != 0)
+        throw std::runtime_error("shard payload: trailing bytes");
+    return row;
+}
+
+/** Campaign identity of a spec: every knob that shapes a shard's
+ * payload, and the payload format itself, so a journal can never be
+ * resumed under a different grid or codec. */
+std::string
+sweepConfigTag(const char *kind, const char *payloadMagic,
+               const SweepSpec &spec)
 {
     std::ostringstream os;
-    os << kind << "-v1 exp=" << spec.experiment
+    os << kind << "-v1 payload=" << payloadMagic
+       << " exp=" << spec.experiment
        << " seed=" << spec.seed << " trials=" << spec.trials
        << " router=" << spec.router
        << " verify=" << (spec.verify ? 1 : 0) << " bench=";
@@ -882,7 +983,7 @@ runSweepCampaign(const SweepSpec &spec, const BatchCompiler &bc,
     robust::CampaignOptions co = opt;
     if (co.workers <= 0)
         co.workers = bc.options().jobs;
-    co.configTag = sweepConfigTag("sweep", spec);
+    co.configTag = sweepConfigTag("sweep", kSweepPayloadMagic, spec);
 
     robust::CampaignResult camp = robust::runCampaign(
         ex.jobs.size(),
@@ -892,7 +993,7 @@ runSweepCampaign(const SweepSpec &spec, const BatchCompiler &bc,
                     "injected fault: sweep.shard");
             SweepRow row = ex.rows[shard];
             scoreSweepShard(ex.jobs[shard], bc, spec.verify, &row);
-            return toJson(row);
+            return encodeRow(row, kSweepPayloadMagic);
         },
         co);
 
@@ -904,7 +1005,8 @@ runSweepCampaign(const SweepSpec &spec, const BatchCompiler &bc,
     out.rows.reserve(ex.rows.size());
     for (size_t i = 0; i < camp.payloads.size(); ++i) {
         if (!camp.payloads[i].empty()) {
-            out.rows.push_back(sweepRowFromJson(camp.payloads[i]));
+            out.rows.push_back(decodeRow<SweepRow>(camp.payloads[i],
+                                                    kSweepPayloadMagic));
         } else {
             SweepRow row = ex.rows[i];
             row.error = unresolvedShardError(camp.shards[i]);
@@ -951,36 +1053,18 @@ toCsv(const SweepRow &row)
            std::to_string(row.instance) + buf;
 }
 
-namespace {
-
-std::string
-jsonEscaped(const std::string &s)
-{
-    std::string out;
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (c == '\n') {
-            out += "\\n";
-            continue;
-        }
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
-
 std::string
 toJson(const SweepRow &row)
 {
     const CompilationMetrics &m = row.metrics;
     std::ostringstream os;
-    os << "{\"experiment\":\"" << jsonEscaped(row.experiment)
-       << "\",\"benchmark\":\"" << row.benchmark
-       << "\",\"device\":\"" << row.device << "\",\"gateset\":\""
-       << row.gateset << "\",\"compiler\":\""
-       << jsonEscaped(row.backend) << "\",\"nqubits\":" << row.nqubits
+    using service::jsonEscape;
+    os << "{\"experiment\":\"" << jsonEscape(row.experiment)
+       << "\",\"benchmark\":\"" << jsonEscape(row.benchmark)
+       << "\",\"device\":\"" << jsonEscape(row.device)
+       << "\",\"gateset\":\"" << jsonEscape(row.gateset)
+       << "\",\"compiler\":\"" << jsonEscape(row.backend)
+       << "\",\"nqubits\":" << row.nqubits
        << ",\"instance\":" << row.instance
        << ",\"swaps\":" << m.swaps << ",\"dressed\":" << m.dressed
        << ",\"native2q\":" << m.native2q
@@ -993,7 +1077,7 @@ toJson(const SweepRow &row)
        << ",\"mapping_seconds\":" << row.mappingSeconds
        << ",\"routing_seconds\":" << row.routingSeconds
        << ",\"scheduling_seconds\":" << row.schedulingSeconds
-       << ",\"error\":\"" << jsonEscaped(row.error) << "\"}";
+       << ",\"error\":\"" << jsonEscape(row.error) << "\"}";
     return os.str();
 }
 
@@ -1165,7 +1249,8 @@ runBenchCampaign(const SweepSpec &spec, const BatchCompiler &bc,
     if (base.workers <= 0)
         base.workers = bc.options().jobs;
     const std::string benchTag =
-        sweepConfigTag("bench", spec) + " warmup=" +
+        sweepConfigTag("bench", kBenchPayloadMagic, spec) +
+        " warmup=" +
         std::to_string(opt.warmup) + " repeat=" +
         std::to_string(opt.repeat);
 
@@ -1190,8 +1275,8 @@ runBenchCampaign(const SweepSpec &spec, const BatchCompiler &bc,
             robust::runCampaign(shards, work, co);
         for (std::uint64_t i = 0; i < shards; ++i) {
             if (!camp.payloads[i].empty()) {
-                out.rows.push_back(
-                    benchRowFromJson(camp.payloads[i]));
+                out.rows.push_back(decodeRow<BenchRow>(
+                    camp.payloads[i], kBenchPayloadMagic));
             } else {
                 BenchRow b = metaOf(i);
                 b.error = unresolvedShardError(camp.shards[i]);
@@ -1283,7 +1368,8 @@ runBenchCampaign(const SweepSpec &spec, const BatchCompiler &bc,
                 if (robust::faultPoint("sweep.shard"))
                     throw std::runtime_error(
                         "injected fault: sweep.shard");
-                return benchRowJson(compileShard(shard, ""));
+                return encodeRow(compileShard(shard, ""),
+                                 kBenchPayloadMagic);
             },
             "", " phase=compile", base.workers, metaOf(""));
         if (!go)
@@ -1299,8 +1385,9 @@ runBenchCampaign(const SweepSpec &spec, const BatchCompiler &bc,
                         if (robust::faultPoint("sweep.shard"))
                             throw std::runtime_error(
                                 "injected fault: sweep.shard");
-                        return benchRowJson(
-                            compileShard(shard, "-scalar"));
+                        return encodeRow(
+                            compileShard(shard, "-scalar"),
+                            kBenchPayloadMagic);
                     },
                     ".scalar", " phase=scalar", base.workers,
                     metaOf("-scalar")))
@@ -1358,7 +1445,7 @@ runBenchCampaign(const SweepSpec &spec, const BatchCompiler &bc,
                 if (robust::faultPoint("sweep.shard"))
                     throw std::runtime_error(
                         "injected fault: sweep.shard");
-                return benchRowJson(simShard(shard));
+                return encodeRow(simShard(shard), kBenchPayloadMagic);
             },
             ".sim", " phase=sim", 1,
             [&spec](std::uint64_t shard) {
@@ -1383,7 +1470,8 @@ benchJson(const std::string &experiment, const BenchOptions &opt,
 {
     std::ostringstream os;
     os << "{\"schema\":\"tqan-bench-v1\",\"experiment\":\""
-       << jsonEscaped(experiment) << "\",\"warmup\":" << opt.warmup
+       << service::jsonEscape(experiment)
+       << "\",\"warmup\":" << opt.warmup
        << ",\"repeat\":" << opt.repeat << ",\"jobs\":" << jobs
        // ISA the run dispatched to (rows forced to scalar carry it
        // in their backend label); parseBenchJson() skips header
@@ -1411,16 +1499,18 @@ benchRowJson(const BenchRow &b)
                   b.medianSeconds, b.minSeconds, b.maxSeconds,
                   b.mappingSeconds, b.routingSeconds,
                   b.schedulingSeconds);
-    os << "{\"benchmark\":\"" << b.benchmark << "\",\"device\":\""
-       << b.device << "\",\"gateset\":\"" << b.gateset
-       << "\",\"compiler\":\"" << jsonEscaped(b.backend)
+    using service::jsonEscape;
+    os << "{\"benchmark\":\"" << jsonEscape(b.benchmark)
+       << "\",\"device\":\"" << jsonEscape(b.device)
+       << "\",\"gateset\":\"" << jsonEscape(b.gateset)
+       << "\",\"compiler\":\"" << jsonEscape(b.backend)
        << "\",\"nqubits\":" << b.nqubits
        << ",\"instance\":" << b.instance << "," << nums
        // Quality of the compiled circuit (-1 for sim rows);
        // parseBenchJson() treats both as optional, so bench
        // files written before these fields still parse.
        << ",\"swaps\":" << b.swaps << ",\"depth2q\":" << b.depth2q
-       << ",\"error\":\"" << jsonEscaped(b.error) << "\"}";
+       << ",\"error\":\"" << jsonEscape(b.error) << "\"}";
     return os.str();
 }
 
@@ -1428,8 +1518,8 @@ namespace {
 
 /** Value of "key": in a single-line JSON object written by
  * benchJson(); empty when absent.  Handles the two value shapes we
- * emit (quoted strings without escapes beyond \" and \\, and plain
- * numbers). */
+ * emit: quoted strings (decoding every escape service::jsonEscape
+ * writes) and plain numbers. */
 std::string
 jsonFieldOf(const std::string &line, const std::string &key)
 {
@@ -1443,13 +1533,29 @@ jsonFieldOf(const std::string &line, const std::string &key)
     if (line[v] == '"') {
         std::string out;
         for (size_t i = v + 1; i < line.size(); ++i) {
-            if (line[i] == '\\' && i + 1 < line.size()) {
-                out += line[++i];
+            char c = line[i];
+            if (c == '"')
+                return out;
+            if (c != '\\' || ++i == line.size()) {
+                out += c;
                 continue;
             }
-            if (line[i] == '"')
-                return out;
-            out += line[i];
+            static const std::string from = "bfnrt", to = "\b\f\n\r\t";
+            size_t k = from.find(line[i]);
+            if (line[i] != 'u') {
+                out += k == std::string::npos ? line[i] : to[k];
+                continue;
+            }
+            // jsonEscape writes \u00XX for control and high bytes.
+            std::string hex = line.substr(i + 1, 4);
+            if (hex.size() != 4 || hex.compare(0, 2, "00") != 0 ||
+                hex.find_first_not_of("0123456789abcdefABCDEF") !=
+                    std::string::npos)
+                throw std::invalid_argument(
+                    "bench json: bad \\u escape in field \"" + key +
+                    "\"");
+            out += static_cast<char>(std::stoi(hex, nullptr, 16));
+            i += 4;
         }
         return "";
     }
@@ -1458,11 +1564,10 @@ jsonFieldOf(const std::string &line, const std::string &key)
                                                    : end - v);
 }
 
-/** Strict full-consumption parses for bench-json fields.  stoi/stod
- * accept junk-tailed tokens ("12x" -> 12) and a field that survived
- * a truncated write would silently skew a regression gate; here any
- * unconsumed byte, non-finite value, or out-of-range value names the
- * offending field and line instead. */
+/** Strict full-consumption parses for bench-json fields
+ * (service/json.h): a junk-tailed, non-finite or out-of-range token —
+ * say a field that survived a truncated write — names the offending
+ * field and line instead of silently skewing a regression gate. */
 [[noreturn]] void
 failBenchField(int lineno, const std::string &key,
                const std::string &tok, const std::string &why)
@@ -1478,17 +1583,8 @@ benchIntField(int lineno, const std::string &key,
               const std::string &tok, int minValue)
 {
     int v = 0;
-    try {
-        size_t used = 0;
-        v = std::stoi(tok, &used);
-        if (used != tok.size())
-            failBenchField(lineno, key, tok,
-                           "has trailing junk after the integer");
-    } catch (const std::invalid_argument &) {
+    if (!service::parseI32(tok, &v))
         failBenchField(lineno, key, tok, "is not an integer");
-    } catch (const std::out_of_range &) {
-        failBenchField(lineno, key, tok, "is out of range");
-    }
     if (v < minValue)
         failBenchField(lineno, key, tok,
                        "must be >= " + std::to_string(minValue));
@@ -1500,18 +1596,7 @@ benchDoubleField(int lineno, const std::string &key,
                  const std::string &tok)
 {
     double v = 0.0;
-    try {
-        size_t used = 0;
-        v = std::stod(tok, &used);
-        if (used != tok.size())
-            failBenchField(lineno, key, tok,
-                           "has trailing junk after the number");
-    } catch (const std::invalid_argument &) {
-        failBenchField(lineno, key, tok, "is not a number");
-    } catch (const std::out_of_range &) {
-        failBenchField(lineno, key, tok, "is out of range");
-    }
-    if (!std::isfinite(v) || v < 0.0)
+    if (!service::parseF64(tok, &v) || v < 0.0)
         failBenchField(lineno, key, tok,
                        "must be a finite time in seconds >= 0");
     return v;
@@ -1564,65 +1649,6 @@ parseBenchLine(int lineno, const std::string &line)
 
 } // namespace
 
-BenchRow
-benchRowFromJson(const std::string &line)
-{
-    return parseBenchLine(0, line);
-}
-
-SweepRow
-sweepRowFromJson(const std::string &line)
-{
-    SweepRow r;
-    r.experiment = jsonFieldOf(line, "experiment");
-    r.benchmark = jsonFieldOf(line, "benchmark");
-    r.device = jsonFieldOf(line, "device");
-    r.gateset = jsonFieldOf(line, "gateset");
-    r.backend = jsonFieldOf(line, "compiler");
-    std::string nq = jsonFieldOf(line, "nqubits");
-    std::string inst = jsonFieldOf(line, "instance");
-    if (r.benchmark.empty() || r.device.empty() ||
-        r.backend.empty() || nq.empty() || inst.empty())
-        throw std::invalid_argument(
-            "sweep row json: missing fields in '" + line + "'");
-    r.nqubits = benchIntField(0, "nqubits", nq, 1);
-    r.instance = benchIntField(0, "instance", inst, 0);
-    // Metric fields are emitted unconditionally by toJson(); treat
-    // each as required and parse strictly (stoi junk tolerance would
-    // let a corrupt payload skew golden CSVs silently).
-    auto intField = [&line](const char *key) {
-        std::string tok = jsonFieldOf(line, key);
-        if (tok.empty())
-            throw std::invalid_argument(
-                "sweep row json: missing field \"" +
-                std::string(key) + "\" in '" + line + "'");
-        return benchIntField(0, key, tok,
-                             std::numeric_limits<int>::min());
-    };
-    auto secondsField = [&line](const char *key) {
-        std::string tok = jsonFieldOf(line, key);
-        if (tok.empty())
-            throw std::invalid_argument(
-                "sweep row json: missing field \"" +
-                std::string(key) + "\" in '" + line + "'");
-        return benchDoubleField(0, key, tok);
-    };
-    r.metrics.swaps = intField("swaps");
-    r.metrics.dressed = intField("dressed");
-    r.metrics.native2q = intField("native2q");
-    r.metrics.depth2q = intField("depth2q");
-    r.metrics.depthAll = intField("depthall");
-    r.metrics.native2qNoMap = intField("native2q_nomap");
-    r.metrics.depth2qNoMap = intField("depth2q_nomap");
-    r.metrics.depthAllNoMap = intField("depthall_nomap");
-    r.seconds = secondsField("seconds");
-    r.mappingSeconds = secondsField("mapping_seconds");
-    r.routingSeconds = secondsField("routing_seconds");
-    r.schedulingSeconds = secondsField("scheduling_seconds");
-    r.error = jsonFieldOf(line, "error");
-    return r;
-}
-
 std::vector<BenchRow>
 parseBenchJson(std::istream &in)
 {
@@ -1643,22 +1669,32 @@ compareBench(const std::vector<BenchRow> &baseline,
              const std::vector<BenchRow> &current, double tolerance,
              double minSeconds)
 {
-    std::map<std::string, double> base;
+    std::map<std::string, const BenchRow *> base;
     for (const BenchRow &b : baseline)
         if (b.ok())
-            base[b.key()] = b.medianSeconds;
+            base[b.key()] = &b;
 
     std::vector<BenchRegression> out;
+    auto flag = [&out](const BenchRow &c, const char *field,
+                       double was, double now) {
+        out.push_back(
+            {c.key(), field, was, now, was != 0.0 ? now / was : 0.0});
+    };
     for (const BenchRow &c : current) {
         if (!c.ok())
             continue;
         auto it = base.find(c.key());
-        if (it == base.end() || it->second < minSeconds)
+        if (it == base.end())
             continue;
-        double ratio = c.medianSeconds / it->second;
-        if (ratio > 1.0 + tolerance)
-            out.push_back(
-                {c.key(), it->second, c.medianSeconds, ratio});
+        const BenchRow &b = *it->second;
+        if (b.medianSeconds >= minSeconds &&
+            c.medianSeconds / b.medianSeconds > 1.0 + tolerance)
+            flag(c, "median_seconds", b.medianSeconds,
+                 c.medianSeconds);
+        if (b.swaps >= 0 && c.swaps >= 0 && b.swaps != c.swaps)
+            flag(c, "swaps", b.swaps, c.swaps);
+        if (b.depth2q >= 0 && c.depth2q >= 0 && b.depth2q != c.depth2q)
+            flag(c, "depth2q", b.depth2q, c.depth2q);
     }
     return out;
 }

@@ -268,9 +268,8 @@ struct SweepCampaignOutcome
  * campaign — one shard per row, each compiled directly on its worker
  * (thread or forked process) and journaled to `opt.checkpoint`, so a
  * killed sweep resumes with opt.resume to byte-identical rows.  Rows
- * always round-trip through their journal payload (toJson ->
- * sweepRowFromJson), fresh or restored, which is what makes the two
- * paths indistinguishable.  `opt.workers <= 0` takes the batch's
+ * always round-trip through their binary journal payload, fresh or
+ * restored, which is what makes the two paths indistinguishable.  `opt.workers <= 0` takes the batch's
  * `jobs`; `opt.configTag` is derived from the spec.
  */
 SweepCampaignOutcome
@@ -291,9 +290,6 @@ std::string sweepCsvHeader();
 std::string toCsv(const SweepRow &row);
 /** One JSON object (JSONL style), including `seconds` and `error`. */
 std::string toJson(const SweepRow &row);
-/** Strict inverse of toJson() — the sweep campaign's shard payload
- * codec.  @throws std::invalid_argument on malformed lines. */
-SweepRow sweepRowFromJson(const std::string &line);
 /** @} */
 
 /** @name Table I/II style aggregation. @{ */
@@ -416,12 +412,8 @@ std::string benchJson(const std::string &experiment,
                       const BenchOptions &opt, int jobs,
                       const std::vector<BenchRow> &rows);
 
-/** One benchJson() row object (no trailing comma/newline) — also the
- * bench campaign's shard payload codec. */
+/** One benchJson() row object (no trailing comma/newline). */
 std::string benchRowJson(const BenchRow &row);
-/** Strict inverse of benchRowJson().
- * @throws std::invalid_argument on malformed lines. */
-BenchRow benchRowFromJson(const std::string &line);
 
 /**
  * Read the rows back out of a benchJson() document (a minimal
@@ -430,22 +422,31 @@ BenchRow benchRowFromJson(const std::string &line);
  */
 std::vector<BenchRow> parseBenchJson(std::istream &in);
 
-/** One baseline-vs-current comparison that exceeded the tolerance. */
+/** One baseline-vs-current comparison that failed the gate. */
 struct BenchRegression
 {
     std::string key;
-    double baselineSeconds = 0.0;
-    double currentSeconds = 0.0;
+    /** "median_seconds", or the quality field ("swaps", "depth2q")
+     * whose value changed. */
+    std::string field;
+    /** The field's value on each side (seconds or a count). */
+    double baseline = 0.0;
+    double current = 0.0;
+    /** current / baseline (0 when the baseline is 0). */
     double ratio = 0.0;
 };
 
 /**
  * Match rows by key() and report every current row slower than
- * baseline * (1 + tolerance).  Rows missing from either side are
- * ignored (new grid entries are not regressions), as are rows whose
- * baseline median is under `minSeconds` — at tens of microseconds
- * the clock jitter exceeds any sane tolerance, so gating them only
- * produces flakes.
+ * baseline * (1 + tolerance), and every row whose swaps or depth2q
+ * differs from the baseline's at all, whatever the tolerance (the
+ * compiled circuit is seed-deterministic, so any change is a
+ * behaviour change, not noise).  Rows missing from either side are
+ * ignored (new grid entries are not regressions), as are quality
+ * fields either side does not carry (-1).  The time gate skips rows
+ * whose baseline median is under `minSeconds` — at tens of
+ * microseconds the clock jitter exceeds any sane tolerance, so
+ * gating them only produces flakes.
  */
 std::vector<BenchRegression>
 compareBench(const std::vector<BenchRow> &baseline,

@@ -5,24 +5,11 @@
  * A CampaignRunner journals every completed shard here so an
  * interrupted campaign can resume without recomputing (and, because
  * shard payloads are deterministic, without changing a single output
- * byte).  The on-disk format follows the same c-blosc2 super-chunk
- * discipline as service/cache.cpp — append-only, verify on open,
- * drop the torn tail:
- *
- *   header  8 B magic "TQANCKv1", u32 version (1), u32 reserved (0)
- *   entry   u64 shard, u32 payLen,
- *           u64 checksum = fnv1a64(shard LE bytes || payload bytes),
- *           payLen payload bytes
- *
- * All integers little-endian.  A later entry for the same shard wins
- * on load.  The store is UNTRUSTED on open: a foreign/torn header
- * rebuilds the journal empty, and the first short/corrupt entry ends
- * the load — the file is truncated back to the verified prefix so a
- * torn append from a crash can never resurface as a finished shard.
- *
- * Durability: append() writes the entry (write-all, EINTR-safe) and
- * fsyncs before returning.  Once append() returns, that shard
- * survives SIGKILL.  Loads ride the retrying reader in robust/io.h.
+ * byte).  The journal is a robust::RecordLog (robust/record_log.h
+ * holds the format, the verified load and the durability contract)
+ * with magic "TQANCKv1", version 1, one record per shard: key = the
+ * shard id, body = its payload.  A later record for the same shard
+ * wins on load.
  *
  * Shard id kMetaShard is reserved for the campaign tag: a digest of
  * the campaign's configuration that the runner checks on resume, so
@@ -41,36 +28,28 @@
 #include <map>
 #include <string>
 
+#include "robust/record_log.h"
+
 namespace tqan {
 namespace robust {
 
 class Checkpoint
 {
   public:
-    struct LoadInfo
-    {
-        std::uint64_t loadedEntries = 0;
-        std::uint64_t droppedBytes = 0;
-        bool rebuilt = false;
-        /** Transient-read retries the load performed. */
-        std::uint64_t retries = 0;
-    };
+    using LoadInfo = RecordLog::LoadInfo;
 
     /** Disabled journal: enabled() is false, append() is a no-op. */
     Checkpoint() = default;
 
     /** Open (or create) the journal at `path`; "" = disabled.  Loads
      * the verified prefix, truncates any corrupt tail, and leaves
-     * the file ready for appends. */
+     * the file ready for appends.
+     * @throws std::runtime_error when the journal cannot be opened. */
     explicit Checkpoint(std::string path);
 
-    ~Checkpoint();
-    Checkpoint(const Checkpoint &) = delete;
-    Checkpoint &operator=(const Checkpoint &) = delete;
-
-    bool enabled() const { return fd_ >= 0; }
+    bool enabled() const { return log_.isOpen(); }
     const std::string &path() const { return path_; }
-    const LoadInfo &loadInfo() const { return load_; }
+    const LoadInfo &loadInfo() const { return log_.loadInfo(); }
 
     /** Verified entries loaded on open (shard -> payload). */
     const std::map<std::uint64_t, std::string> &entries() const
@@ -87,21 +66,13 @@ class Checkpoint
      * fresh, non-resumed campaign must not inherit stale shards). */
     void reset();
 
-    static constexpr char kMagic[9] = "TQANCKv1";
-    static constexpr std::uint32_t kVersion = 1;
-    /** Cap on one payload: a corrupt length field must not drive a
-     * giant allocation. */
-    static constexpr std::uint32_t kMaxPayload = 1u << 28;
     /** Reserved shard id carrying the campaign tag. */
     static constexpr std::uint64_t kMetaShard = ~0ull;
 
   private:
-    void openStore();
-
     std::string path_;
     std::map<std::uint64_t, std::string> map_;
-    LoadInfo load_;
-    int fd_ = -1;
+    RecordLog log_;
 };
 
 } // namespace robust

@@ -1,7 +1,8 @@
 /**
  * @file
- * Retrying POSIX I/O primitives shared by the compile cache and the
- * campaign checkpoint journal.
+ * Retrying POSIX I/O primitives under robust::RecordLog (the record
+ * format and the store discipline live in robust/record_log.h) and
+ * the campaign runner's result pipes.
  *
  * Durability on this codepath means three things: (1) every write is
  * a write-all loop that survives EINTR and short writes, (2) an

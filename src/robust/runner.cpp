@@ -19,11 +19,11 @@
 #include <thread>
 #include <unordered_map>
 
-#include "core/hash.h"
 #include "core/profile.h"
 #include "robust/checkpoint.h"
 #include "robust/fault.h"
 #include "robust/io.h"
+#include "robust/record_log.h"
 
 namespace tqan {
 namespace robust {
@@ -47,38 +47,6 @@ onCampaignSignal(int sig)
     // write() is the only async-signal-safe way to say this.
     ssize_t ignored = ::write(2, msg, sizeof msg - 1);
     (void)ignored;
-}
-
-void
-putU32(std::string &buf, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void
-putU64(std::string &buf, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-std::uint32_t
-getU32(const unsigned char *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) | p[i];
-    return v;
-}
-
-std::uint64_t
-getU64(const unsigned char *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | p[i];
-    return v;
 }
 
 struct Attempt
@@ -413,13 +381,13 @@ runInlineMode(const std::shared_ptr<CampaignState> &st)
 }
 
 /** Child side of the process runner: run the shard, write one
- * result frame (u8 status, u32 len, u64 fnv1a64(body), body) to the
- * pipe, and _exit without running any parent-inherited cleanup.
- * status 0 = payload, 1 = error text. */
+ * result record (robust/record_log.h; key = status, body = payload
+ * or error text) to the pipe, and _exit without running any
+ * parent-inherited cleanup.  status 0 = payload, 1 = error text. */
 [[noreturn]] void
 runChild(CampaignState &st, const Attempt &a, int wfd)
 {
-    std::uint8_t status = 0;
+    std::uint64_t status = 0;
     std::string body;
     try {
         // Hit counters were copied by fork, then this child counts
@@ -435,38 +403,13 @@ runChild(CampaignState &st, const Attempt &a, int wfd)
         status = 1;
         body = "unknown worker error";
     }
-    std::string frame;
-    frame += static_cast<char>(status);
-    putU32(frame, static_cast<std::uint32_t>(body.size()));
-    putU64(frame, core::fnv1a64(body.data(), body.size()));
-    frame += body;
     try {
+        std::string frame = encodeRecord(status, body);
         writeAll(wfd, frame.data(), frame.size());
     } catch (...) {
         _exit(3);
     }
     _exit(0);
-}
-
-/** Parse a child result frame.  Returns false when the frame is
- * short, long, or fails its checksum (a crashed child's torn pipe
- * write must read as "died", never as a payload). */
-bool
-parseFrame(const std::string &buf, std::uint8_t *status,
-           std::string *body)
-{
-    if (buf.size() < 13)
-        return false;
-    const unsigned char *p =
-        reinterpret_cast<const unsigned char *>(buf.data());
-    std::uint32_t len = getU32(p + 1);
-    if (buf.size() != std::size_t(13) + len)
-        return false;
-    if (core::fnv1a64(buf.data() + 13, len) != getU64(p + 5))
-        return false;
-    *status = p[0];
-    body->assign(buf, 13, len);
-    return true;
 }
 
 void
@@ -611,9 +554,13 @@ runProcessMode(const std::shared_ptr<CampaignState> &st)
                 ++i;
                 continue;
             }
-            std::uint8_t status = 0;
-            std::string body;
-            bool framed = parseFrame(k.buf, &status, &body);
+            // A crashed child's torn pipe write must read as "died",
+            // never as a payload: the frame is one whole record.
+            std::uint64_t status = 0;
+            std::string_view frame;
+            std::size_t used = decodeRecord(k.buf, &status, &frame);
+            bool framed = used != 0 && used == k.buf.size();
+            std::string body(frame);
             if (k.deadlineKilled) {
                 failAttemptLocked(*st, k.shard, k.attempt,
                                   "shard deadline exceeded");
@@ -683,7 +630,6 @@ runCampaign(std::uint64_t shards, const ShardFn &work,
     st->unresolved = shards;
 
     Checkpoint ckpt(opt.checkpoint);
-    std::uint64_t restoredCount = 0;
     if (ckpt.enabled()) {
         auto meta = ckpt.entries().find(Checkpoint::kMetaShard);
         if (opt.resume) {
@@ -711,7 +657,6 @@ runCampaign(std::uint64_t shards, const ShardFn &work,
                 st->payloads[kv.first] = kv.second;
                 resolveLocked(*st, kv.first, ShardState::Restored,
                               0, "");
-                ++restoredCount;
                 core::profile::count("robust.campaign.restored");
             }
     }
@@ -757,7 +702,6 @@ runCampaign(std::uint64_t shards, const ShardFn &work,
             }
         r.interrupted = r.skipped > 0;
     }
-    (void)restoredCount;
     return r;
 }
 

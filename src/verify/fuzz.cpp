@@ -11,6 +11,7 @@
 #include "device/noise_map.h"
 #include "ham/trotter.h"
 #include "robust/fault.h"
+#include "robust/record_log.h"
 #include "verify/mutate.h"
 #include "verify/reference.h"
 
@@ -188,70 +189,12 @@ struct CaseResult
  */
 constexpr char kPayloadMagic[] = "FZS2";
 
-void
-putU32(std::string &buf, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        buf += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void
-putU64(std::string &buf, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        buf += static_cast<char>((v >> (8 * i)) & 0xff);
-}
-
-void
-putStr(std::string &buf, const std::string &s)
-{
-    putU32(buf, static_cast<std::uint32_t>(s.size()));
-    buf += s;
-}
-
-struct PayloadReader
-{
-    const std::string &buf;
-    std::size_t at = 0;
-
-    void need(std::size_t n) const
-    {
-        if (at + n > buf.size())
-            throw std::runtime_error("fuzz shard payload truncated");
-    }
-    std::uint32_t u32()
-    {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 3; i >= 0; --i)
-            v = (v << 8) |
-                static_cast<unsigned char>(buf[at + i]);
-        at += 4;
-        return v;
-    }
-    std::uint64_t u64()
-    {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 7; i >= 0; --i)
-            v = (v << 8) |
-                static_cast<unsigned char>(buf[at + i]);
-        at += 8;
-        return v;
-    }
-    std::string str()
-    {
-        std::uint32_t n = u32();
-        need(n);
-        std::string s = buf.substr(at, n);
-        at += n;
-        return s;
-    }
-};
-
 std::string
 serializeShard(const CaseResult &r)
 {
+    using robust::putStr;
+    using robust::putU32;
+    using robust::putU64;
     std::string buf(kPayloadMagic, 4);
     putU32(buf, static_cast<std::uint32_t>(r.cases));
     putU32(buf, static_cast<std::uint32_t>(r.skipped));
@@ -278,11 +221,9 @@ serializeShard(const CaseResult &r)
 CaseResult
 parseShard(const std::string &payload)
 {
-    PayloadReader rd{payload};
-    rd.need(4);
-    if (payload.compare(0, 4, kPayloadMagic) != 0)
+    robust::ByteReader rd(payload, "fuzz shard payload");
+    if (rd.bytes(4) != kPayloadMagic)
         throw std::runtime_error("fuzz shard payload: bad magic");
-    rd.at = 4;
     CaseResult r;
     r.cases = static_cast<int>(rd.u32());
     r.skipped = static_cast<int>(rd.u32());

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <sstream>
 
 #include "core/sweep.h"
@@ -369,4 +371,86 @@ TEST(Bench, ParseStillAcceptsValidOptionalFields)
     ASSERT_EQ(rows.size(), 1u);
     EXPECT_EQ(rows[0].nqubits, 4);
     EXPECT_NEAR(rows[0].medianSeconds, 0.5, 1e-12);
+}
+
+TEST(Bench, CompareGatesQualityFieldsExactly)
+{
+    std::vector<BenchRow> base = {rowWith("2qan", 0.010),
+                                  rowWith("2qan_rrr", 0.010)};
+    base[0].swaps = 4;
+    base[0].depth2q = 16;
+    base[1].swaps = 3;
+    base[1].depth2q = 12;
+    std::vector<BenchRow> cur = base;
+    // Identical quality, time inside tolerance: clean.
+    EXPECT_TRUE(compareBench(base, cur, 0.25).empty());
+
+    // One more swap fails the gate however loose the tolerance, and
+    // even on a row too fast for the time gate.
+    cur[0].swaps = 5;
+    cur[1].depth2q = 11;
+    cur[1].medianSeconds = 20e-6;
+    auto reg = compareBench(base, cur, 100.0);
+    ASSERT_EQ(reg.size(), 2u);
+    EXPECT_EQ(reg[0].key, cur[0].key());
+    EXPECT_EQ(reg[0].field, "swaps");
+    EXPECT_EQ(reg[0].baseline, 4.0);
+    EXPECT_EQ(reg[0].current, 5.0);
+    EXPECT_EQ(reg[1].field, "depth2q");
+
+    // A side without quality fields (-1: sim rows, pre-quality bench
+    // files) is not compared.
+    base[0].swaps = -1;
+    base[1].depth2q = -1;
+    EXPECT_TRUE(compareBench(base, cur, 100.0).empty());
+}
+
+TEST(Bench, JsonStringFieldsRoundTripEveryEscape)
+{
+    BenchRow b = rowWith("2qan", 0.5);
+    b.error = "line one\nline two\t\"q\" \\ \r\x01\xc3\xa9";
+    std::string json = benchJson("exp\n\"x\"", {0, 1}, 1, {b});
+    // One row object per line, whatever the text held.
+    EXPECT_EQ(std::count(json.begin(), json.end(), '\n'), 3);
+    std::istringstream in(json);
+    std::vector<BenchRow> back = parseBenchJson(in);
+    ASSERT_EQ(back.size(), 1u);
+    EXPECT_EQ(back[0].error, b.error);
+}
+
+TEST(Bench, CheckedInBenchRecordsStillParseFieldForField)
+{
+    // Every row line of the records re-serializes to itself, so the
+    // reader recovers every field exactly.  Records written before
+    // the quality fields existed lack them (read back as -1).
+    for (const char *name :
+         {"BENCH_pr3.json", "BENCH_pr4.json", "BENCH_pr6.json",
+          "BENCH_pr8.json", "bench/baseline_smoke.json"}) {
+        std::ifstream f(std::string(TQAN_SOURCE_DIR) + "/" + name);
+        ASSERT_TRUE(f) << name;
+        std::vector<std::string> lines;
+        std::string text, line;
+        while (std::getline(f, line)) {
+            text += line + "\n";
+            if (line.find("\"median_seconds\"") == std::string::npos)
+                continue;
+            if (line.back() == ',')
+                line.pop_back();
+            lines.push_back(line);
+        }
+        std::istringstream in(text);
+        std::vector<BenchRow> rows = parseBenchJson(in);
+        ASSERT_EQ(rows.size(), lines.size()) << name;
+        ASSERT_FALSE(rows.empty()) << name;
+        const std::string noQuality = ",\"swaps\":-1,\"depth2q\":-1";
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+            std::string again = benchRowJson(rows[i]);
+            if (lines[i].find("\"swaps\"") == std::string::npos) {
+                std::size_t at = again.find(noQuality);
+                ASSERT_NE(at, std::string::npos) << name;
+                again.erase(at, noQuality.size());
+            }
+            EXPECT_EQ(again, lines[i]) << name << " row " << i;
+        }
+    }
 }

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 
+#include "core/backend.h"
 #include "core/batch.h"
 #include "core/sweep.h"
 #include "robust/fault.h"
@@ -178,4 +179,56 @@ TEST(CampaignResume, SweepShardFaultIsRetriedTransparently)
     EXPECT_GE(out.tallies.retried, 1u);
     EXPECT_EQ(out.tallies.quarantined, 0u);
     EXPECT_EQ(csvOf(out.rows), straight);
+}
+
+namespace {
+
+/** Text with every byte class a JSON-ish payload used to mangle:
+ * newline, tab, quote, backslash, a byte above 0x7f. */
+const std::string kOddText = "line one\nline two\t\"quoted\" \\ \xc3\xa9";
+
+/** A backend whose every compile fails with kOddText. */
+class OddErrorBackend : public core::CompilerBackend
+{
+  public:
+    std::string name() const override { return "odd_error_test"; }
+    core::CompileResult compile(const core::CompileJob &,
+                                const device::Topology &) const override
+    {
+        throw std::runtime_error(kOddText);
+    }
+};
+
+} // namespace
+
+TEST(CampaignResume, SweepRowTextSurvivesTheJournalExactly)
+{
+    Guard guard;
+    core::registerBackend("odd_error_test", [] {
+        return std::unique_ptr<core::CompilerBackend>(
+            new OddErrorBackend);
+    });
+    std::string path = tempPath("sweep_text");
+    std::remove(path.c_str());
+    core::SweepSpec spec = smallSpec();
+    spec.experiment = kOddText;
+    spec.backends = {"odd_error_test"};
+    core::BatchCompiler bc({1});
+
+    robust::CampaignOptions co;
+    co.checkpoint = path;
+    co.stopAfter = 2;
+    ASSERT_TRUE(core::runSweepCampaign(spec, bc, co).tallies.interrupted);
+    robust::CampaignOptions rco;
+    rco.checkpoint = path;
+    rco.resume = true;
+    core::SweepCampaignOutcome resumed =
+        core::runSweepCampaign(spec, bc, rco);
+    EXPECT_GE(resumed.tallies.restored, 2u);
+    ASSERT_EQ(resumed.rows.size(), 4u);
+    for (const core::SweepRow &row : resumed.rows) {
+        EXPECT_EQ(row.experiment, kOddText);
+        EXPECT_EQ(row.error, kOddText);
+    }
+    std::remove(path.c_str());
 }

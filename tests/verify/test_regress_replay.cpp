@@ -18,6 +18,11 @@
 #include <fstream>
 #include <vector>
 
+#include "core/backend.h"
+#include "device/devices.h"
+#include "ham/parser.h"
+#include "ham/trotter.h"
+#include "verify/check.h"
 #include "verify/fuzz.h"
 
 using namespace tqan;
@@ -55,5 +60,31 @@ TEST(RegressReplay, EveryReproducerVerifiesCleanOnEveryBackend)
         for (const auto &fail : verify::runScenario(s, opt))
             ADD_FAILURE() << p.filename() << " on " << fail.backend
                           << ": " << fail.error;
+    }
+}
+
+TEST(RegressReplay, SabreLivelockInstanceCompilesAndVerifies)
+{
+    // A 20-qubit 3-regular QAOA instance on which SABRE's heuristic
+    // cycled until the livelock guard threw; the release valve must
+    // route it, for both pipelines that route through SABRE.
+    std::ifstream f(std::string(TQAN_REGRESS_DIR) +
+                    "/sabre_livelock_qaoa3_n20.ham");
+    ASSERT_TRUE(f);
+    ham::TwoLocalHamiltonian h = ham::parseHamiltonian(f);
+    qcir::Circuit step = ham::trotterStep(h, 1.0);
+    device::Topology topo = device::deviceByName("montreal");
+    for (const char *name : {"qiskit_sabre", "paulihedral_like"}) {
+        core::CompileJob job;
+        job.step = &step;
+        job.hamiltonian = &h;
+        job.options.seed = 10793040;
+        const core::CompilerBackend &be = core::backendByName(name);
+        core::CompileResult res;
+        ASSERT_NO_THROW(res = be.compile(job, topo)) << name;
+        verify::CompilationCheck chk =
+            verify::checkCompilation(step, res);
+        EXPECT_TRUE(chk.ok) << name << ": " << chk.error;
+        EXPECT_FALSE(chk.skipped) << name;
     }
 }

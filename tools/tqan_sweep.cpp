@@ -165,7 +165,8 @@ printHelp(std::FILE *out)
         "                    slower than baseline * (1 + tolerance)\n"
         "                    (default 0.25, override with\n"
         "                    TQAN_BENCH_TOLERANCE; rows under 0.1 ms\n"
-        "                    are never gated — clock jitter).\n"
+        "                    are never gated — clock jitter), or\n"
+        "                    when a row's swaps/depth2q differ.\n"
         "                    Refresh with TQAN_UPDATE_BASELINE=1.\n",
         joined(core::sweepPresetNames(), " | ").c_str(),
         joined(core::routerNames(), " | ").c_str());
@@ -236,13 +237,20 @@ runBenchMode(const core::SweepSpec &spec, int jobs,
         core::envDoubleOr("TQAN_BENCH_TOLERANCE", 0.25);
     std::vector<core::BenchRegression> regressions =
         core::compareBench(base, rows, tolerance);
-    for (const auto &r : regressions)
-        std::fprintf(stderr,
-                     "tqan-sweep: PERF REGRESSION %s: %.3f ms -> "
-                     "%.3f ms (x%.2f > x%.2f allowed)\n",
-                     r.key.c_str(), r.baselineSeconds * 1e3,
-                     r.currentSeconds * 1e3, r.ratio,
-                     1.0 + tolerance);
+    for (const auto &r : regressions) {
+        if (r.field == "median_seconds")
+            std::fprintf(stderr,
+                         "tqan-sweep: PERF REGRESSION %s: %.3f ms -> "
+                         "%.3f ms (x%.2f > x%.2f allowed)\n",
+                         r.key.c_str(), r.baseline * 1e3,
+                         r.current * 1e3, r.ratio, 1.0 + tolerance);
+        else
+            std::fprintf(stderr,
+                         "tqan-sweep: QUALITY CHANGE %s: %s %.0f -> "
+                         "%.0f (must match exactly)\n",
+                         r.key.c_str(), r.field.c_str(), r.baseline,
+                         r.current);
+    }
     if (regressions.empty()) {
         std::fprintf(stderr,
                      "tqan-sweep: no perf regression vs %s "
@@ -252,9 +260,9 @@ runBenchMode(const core::SweepSpec &spec, int jobs,
         return 0;
     }
     std::fprintf(stderr,
-                 "tqan-sweep: %zu of %zu rows regressed; refresh "
-                 "the baseline with TQAN_UPDATE_BASELINE=1 if "
-                 "intentional\n",
+                 "tqan-sweep: %zu gate failures over %zu rows; "
+                 "refresh the baseline with TQAN_UPDATE_BASELINE=1 "
+                 "if intentional\n",
                  regressions.size(), rows.size());
     return 3;
 }
