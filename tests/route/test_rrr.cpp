@@ -5,7 +5,8 @@
  * guard never trips, every route validates), rng-independence of the
  * rrr phase itself, and per-router batch determinism — for every
  * registered router the whole compile grid is bit-identical across
- * pool sizes and submission orders.
+ * pool sizes and submission orders — and byte pins on the QASM the
+ * 2qan_rrr pipeline emits for dense and sparse large-device inputs.
  */
 
 #include <gtest/gtest.h>
@@ -15,15 +16,19 @@
 #include <numeric>
 #include <random>
 
+#include "core/backend.h"
 #include "core/batch.h"
+#include "core/hash.h"
 #include "core/router.h"
 #include "core/router_registry.h"
 #include "core/sweep.h"
+#include "decomp/pass.h"
 #include "device/devices.h"
 #include "graph/random_graph.h"
 #include "ham/qaoa.h"
 #include "ham/trotter.h"
 #include "qap/qap.h"
+#include "qcir/qasm.h"
 #include "testgen/scenario.h"
 
 using namespace tqan;
@@ -199,5 +204,51 @@ TEST(Rrr, PerRouterShuffledSubmissionIdenticalPerJob)
             EXPECT_EQ(ra.metrics.swaps, rb->metrics.swaps);
             EXPECT_EQ(ra.metrics.depth2q, rb->metrics.depth2q);
         }
+    }
+}
+
+TEST(Rrr, PinnedQasmOnLargeDevices)
+{
+    // fnv1a64 of the routed-and-scheduled circuit of 2qan_rrr,
+    // decomposed to CNOTs and emitted as QASM, on dense
+    // G(n,0.5) QAOA, 3-regular QAOA and NNN Heisenberg inputs (fixed
+    // instance and compile seeds, one mapper trial).  Any change to
+    // the rrr router that moves a single SWAP moves these hashes; an
+    // intentional change must re-record them.
+    struct Pin
+    {
+        core::Benchmark bench;
+        int n;
+        const char *device;
+        std::uint64_t hash;
+    };
+    const Pin pins[] = {
+        {core::Benchmark::QaoaDense, 40, "heavyhex:7",
+         0x35f22e207ed9fd2full},
+        {core::Benchmark::QaoaDense, 30, "grid:6x6",
+         0xf1fa1ddda900877dull},
+        {core::Benchmark::QaoaReg3, 100, "grid:11x11",
+         0x31fa75414c117a27ull},
+        {core::Benchmark::NnnHeisenberg, 60, "heavyhex:7",
+         0xf896c1362b945582ull},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(core::benchmarkName(pin.bench) + " n=" +
+                     std::to_string(pin.n) + " " + pin.device);
+        core::SweepUnit u =
+            core::buildSweepUnit(pin.bench, pin.n, 0, 13);
+        device::Topology topo = device::deviceByName(pin.device);
+        core::CompileJob job;
+        job.step = u.step.get();
+        job.hamiltonian = u.hamiltonian.get();
+        job.options.mapperTrials = 1;
+        job.options.seed = 29;
+        core::CompileResult res =
+            core::backendByName("2qan_rrr").compile(job, topo);
+        EXPECT_TRUE(
+            core::routingIsValid(*u.step, topo, res.routing));
+        std::string qasm = qcir::toQasm(
+            decomp::decomposeToCnot(res.sched.deviceCircuit));
+        EXPECT_EQ(core::fnv1a64(qasm), pin.hash);
     }
 }
