@@ -74,9 +74,9 @@ class TqanBackend : public CompilerBackend
     }
 };
 
-/** The 2QAN pipeline with the negotiated-congestion
- * ripup-and-reroute router (src/route/) pinned as the routing
- * strategy; everything else follows job.options like "2qan". */
+/** The 2QAN pipeline with the disjoint-chain epoch router
+ * (src/route/) pinned as the routing strategy; everything else
+ * follows job.options like "2qan". */
 class TqanRrrBackend : public CompilerBackend
 {
   public:

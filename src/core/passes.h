@@ -46,8 +46,8 @@ makeMappingPass(std::string mapper, int trials = 5,
 
 /**
  * Routing through the core::Router registry strategy `opt.name`
- * ("greedy" is the paper's Algorithm 1, "rrr" the negotiated-
- * congestion ripup-and-reroute router, or any name registered via
+ * ("greedy" is the paper's Algorithm 1, "rrr" the disjoint-chain
+ * epoch router, or any name registered via
  * core::registerRouter).  Dressed-SWAP merging is applied when
  * `opt.unifySwaps`.
  */

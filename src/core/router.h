@@ -66,22 +66,14 @@ struct RoutingResult
 struct RouterOptions
 {
     /** Registry name of the routing strategy (core/router_registry.h):
-     * "greedy" is the paper's Algorithm 1, "rrr" the negotiated-
-     * congestion ripup-and-reroute router (src/route/). */
+     * "greedy" is the paper's Algorithm 1, "rrr" the disjoint-chain
+     * epoch router (src/route/). */
     std::string name = "greedy";
     /** Enable criterion 3 and dressed-SWAP merging. */
     bool unifySwaps = true;
     /** Give up after this many SWAPs per two-qubit op (livelock
      * guard; generous, never hit in practice). */
     int maxSwapFactor = 16;
-    /** @name rrr knobs (ignored by greedy). @{ */
-    /** Ripup/reroute negotiation rounds per commit epoch. */
-    int rrrMaxRounds = 6;
-    /** History-penalty increment per overflowed vertex per round. */
-    double rrrHistoryWeight = 1.0;
-    /** Present-congestion multiplier in the maze-search edge cost. */
-    double rrrPresentWeight = 1.0;
-    /** @} */
 };
 
 /**

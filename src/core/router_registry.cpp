@@ -29,7 +29,7 @@ class RrrRouter : public Router
     std::string name() const override { return "rrr"; }
     RoutingResult route(const RouteRequest &req) const override
     {
-        return route::routeNegotiatedCongestion(
+        return route::routeDisjointChains(
             *req.circuit, *req.initial, *req.topo, *req.rng, req.opt);
     }
 };

@@ -8,8 +8,9 @@
  * Built-ins:
  *   greedy - the paper's Algorithm 1 permutation-aware router
  *            (core/router.h, routePermutationAware)
- *   rrr    - negotiated-congestion ripup-and-reroute (src/route/),
- *            the VLSI global-routing pattern adapted to SWAP routing
+ *   rrr    - disjoint-chain epoch router (src/route/): commits a
+ *            maximal vertex-disjoint set of hop-optimal SWAP chains
+ *            per epoch
  *
  * Router selection is threaded through CompilerOptions::router.name,
  * the service cache key, sweep specs (`router =`), and

@@ -591,11 +591,11 @@ sweepPreset(const std::string &name)
     if (name == "router") {
         // Paired greedy-vs-rrr rows (the PR 8 perf/quality gate):
         // the same instances compiled by the 2qan pipeline with its
-        // default greedy router and by 2qan_rrr, the
-        // negotiated-congestion ripup-and-reroute router.  The
-        // QAOA_DENSE rows (Erdos-Renyi G(n,0.5)) are the routing
-        // stress case where negotiation pays off; the QAOA_REG3 rows
-        // guard against regressing the paper workloads.
+        // default greedy router and by 2qan_rrr, the disjoint-chain
+        // epoch router.  The QAOA_DENSE rows (Erdos-Renyi G(n,0.5))
+        // are the routing stress case where parallel disjoint chains
+        // pay off in depth; the QAOA_REG3 rows guard against
+        // regressing the paper workloads.
         // BENCH_pr8.json is this preset's --bench output: its swaps
         // and depth2q columns record the quality win, its medians
         // feed the usual timing gate.

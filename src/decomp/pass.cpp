@@ -232,32 +232,43 @@ expandForMetrics(const Circuit &c, GateSet gs)
 Circuit
 cancelAdjacentCnots(const Circuit &c)
 {
-    std::vector<Op> ops = c.ops();
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        std::vector<int> last(c.numQubits(), -1);
-        for (size_t i = 0; i < ops.size() && !changed; ++i) {
-            const Op &op = ops[i];
-            if (op.kind == OpKind::Cnot) {
-                int l0 = last[op.q0], l1 = last[op.q1];
-                if (l0 >= 0 && l0 == l1 &&
-                    ops[l0].kind == OpKind::Cnot &&
-                    ops[l0].q0 == op.q0 && ops[l0].q1 == op.q1) {
-                    ops.erase(ops.begin() + i);
-                    ops.erase(ops.begin() + l0);
-                    changed = true;
-                    break;
-                }
+    // One left-to-right pass over per-wire stacks of live ops, kept
+    // as linked lists: top[q] is the latest live op on qubit q, and
+    // below[2i + w] the live op under op i on its wire w (0 = q0,
+    // 1 = q1).  A CNOT whose two wires both top out at the same
+    // same-orientation CNOT cancels against it; popping the pair
+    // exposes exactly the ops a rescan after erasing it would see,
+    // so this is the leftmost-first fixpoint reduction in linear
+    // time.
+    const std::vector<Op> &ops = c.ops();
+    const int m = static_cast<int>(ops.size());
+    std::vector<int> top(c.numQubits(), -1);
+    std::vector<int> below(2 * ops.size());
+    std::vector<char> dead(ops.size(), 0);
+    for (int i = 0; i < m; ++i) {
+        const Op &op = ops[i];
+        if (op.kind == OpKind::Cnot) {
+            int j = top[op.q0];
+            if (j >= 0 && j == top[op.q1] &&
+                ops[j].kind == OpKind::Cnot && ops[j].q0 == op.q0 &&
+                ops[j].q1 == op.q1) {
+                dead[i] = dead[j] = 1;
+                top[op.q0] = below[2 * j];
+                top[op.q1] = below[2 * j + 1];
+                continue;
             }
-            last[op.q0] = static_cast<int>(i);
-            if (op.isTwoQubit())
-                last[op.q1] = static_cast<int>(i);
+        }
+        below[2 * i] = top[op.q0];
+        top[op.q0] = i;
+        if (op.isTwoQubit()) {
+            below[2 * i + 1] = top[op.q1];
+            top[op.q1] = i;
         }
     }
     Circuit out(c.numQubits());
-    for (const auto &op : ops)
-        out.add(op);
+    for (int i = 0; i < m; ++i)
+        if (!dead[i])
+            out.add(ops[i]);
     return out;
 }
 

@@ -7,29 +7,16 @@
 namespace tqan {
 namespace route {
 
-namespace {
-
 std::vector<int>
-unwind(const std::vector<int> &prev, int s, int t)
+pathConstrained(const device::Topology &topo, int s, int t,
+                const std::vector<char> &blocked,
+                const std::vector<double> &bias)
 {
-    std::vector<int> path;
-    for (int v = t; v != -1; v = prev[v])
-        path.push_back(v);
-    std::reverse(path.begin(), path.end());
-    if (path.empty() || path.front() != s)
+    if (blocked[s] || blocked[t])
         return {};
-    return path;
-}
-
-/** Dijkstra on a per-vertex entry cost; when `monotonic`, only edges
- * that strictly decrease the hop distance to t are taken.  An
- * infinite entry cost excludes the vertex.  Deterministic: the
- * priority queue orders by (cost, vertex id). */
-template <typename EnterCost>
-std::vector<int>
-dijkstra(const device::Topology &topo, int s, int t, bool monotonic,
-         EnterCost enter)
-{
+    // Dijkstra on the per-vertex entry cost 1 + bias, taking only
+    // edges that strictly decrease the hop distance to t.  The
+    // priority queue orders by (cost, vertex id).
     const int n = topo.numQubits();
     const double inf = std::numeric_limits<double>::infinity();
     std::vector<double> d(n, inf);
@@ -50,16 +37,13 @@ dijkstra(const device::Topology &topo, int s, int t, bool monotonic,
         if (u == t)
             break;
         for (int v : topo.neighbors(u)) {
-            if (done[v])
+            if (done[v] || blocked[v])
                 continue;
-            if (monotonic && topo.dist(v, t) != topo.dist(u, t) - 1)
+            if (topo.dist(v, t) != topo.dist(u, t) - 1)
                 continue;
             // The target costs nothing to enter: the chain stops
             // short of it (the net's other endpoint lives there).
-            double step = v == t ? 0.0 : enter(v);
-            if (step == inf)
-                continue;
-            double nd = dc + step;
+            double nd = dc + (v == t ? 0.0 : 1.0 + bias[v]);
             if (nd < d[v] || (nd == d[v] && u < prev[v])) {
                 d[v] = nd;
                 prev[v] = u;
@@ -69,67 +53,11 @@ dijkstra(const device::Topology &topo, int s, int t, bool monotonic,
     }
     if (d[t] == inf)
         return {};
-    return unwind(prev, s, t);
-}
-
-} // namespace
-
-std::vector<int>
-pathDirect(const device::Topology &topo, int s, int t)
-{
-    const int n = topo.numQubits();
-    if (s == t)
-        return {s};
-    std::vector<int> prev(n, -1);
-    std::vector<char> seen(n, 0);
-    std::queue<int> q;
-    seen[s] = 1;
-    q.push(s);
-    while (!q.empty()) {
-        int u = q.front();
-        q.pop();
-        if (u == t)
-            break;
-        for (int v : topo.neighbors(u)) {
-            if (seen[v])
-                continue;
-            seen[v] = 1;
-            prev[v] = u;
-            q.push(v);
-        }
-    }
-    if (!seen[t])
-        return {};
-    return unwind(prev, s, t);
-}
-
-std::vector<int>
-pathMonotonic(const device::Topology &topo, const CostModel &cost,
-              int s, int t)
-{
-    return dijkstra(topo, s, t, true,
-                    [&](int v) { return cost.enterCost(v); });
-}
-
-std::vector<int>
-pathMaze(const device::Topology &topo, const CostModel &cost, int s,
-         int t)
-{
-    return dijkstra(topo, s, t, false,
-                    [&](int v) { return cost.enterCost(v); });
-}
-
-std::vector<int>
-pathConstrained(const device::Topology &topo, int s, int t,
-                const std::vector<char> &blocked,
-                const std::vector<double> &bias)
-{
-    const double inf = std::numeric_limits<double>::infinity();
-    if (blocked[s] || blocked[t])
-        return {};
-    return dijkstra(topo, s, t, true, [&](int v) {
-        return blocked[v] ? inf : 1.0 + bias[v];
-    });
+    std::vector<int> path;
+    for (int v = t; v != -1; v = prev[v])
+        path.push_back(v);
+    std::reverse(path.begin(), path.end());
+    return path;
 }
 
 } // namespace route

@@ -1,27 +1,14 @@
 /**
  * @file
- * Staged path search over the device graph — the three phases of the
- * VLSI global router (pattern / monotonic / HUM maze search) mapped
- * onto qubit routing:
+ * Commit-phase path search of the rrr router: minimum bias cost among
+ * the *shortest* device-graph paths that avoid a blocked-vertex mask.
+ * It is Dijkstra restricted to the shortest-path DAG toward the
+ * target (every step must decrease the hop distance), so path length
+ * stays hop-optimal while the bias picks among equal-length paths.
  *
- *   direct    - plain BFS shortest path, deterministic neighbour
- *               order.  The "pattern routing" analogue: cheapest to
- *               compute, blind to congestion.  Used while the cost
- *               model is idle (no history yet).
- *   monotonic - minimum congestion cost among *shortest* paths:
- *               Dijkstra restricted to the shortest-path DAG toward
- *               the target (every step must decrease the hop
- *               distance).  Path length stays optimal; contended
- *               vertices are avoided when an equal-length detour
- *               exists.
- *   maze      - full Dijkstra on the congestion cost (base 1 per
- *               step keeps paths near-shortest unless congestion
- *               genuinely warrants a detour).  The HUM analogue,
- *               used when rerouting ripped-up nets.
- *
- * All searches are deterministic: ties break toward the smaller
- * vertex id, never the rng, so routing is reproducible and
- * jobs-invariant by construction.
+ * The search is deterministic: ties break toward the smaller vertex
+ * id, never the rng, so routing is reproducible and jobs-invariant by
+ * construction.
  */
 
 #ifndef TQAN_ROUTE_PATH_SEARCH_H
@@ -30,30 +17,16 @@
 #include <vector>
 
 #include "device/topology.h"
-#include "route/cost_model.h"
 
 namespace tqan {
 namespace route {
 
-/** BFS shortest path s..t inclusive; empty when unreachable. */
-std::vector<int> pathDirect(const device::Topology &topo, int s,
-                            int t);
-
-/** Min congestion cost among shortest (hop-optimal) paths s..t. */
-std::vector<int> pathMonotonic(const device::Topology &topo,
-                               const CostModel &cost, int s, int t);
-
-/** Min congestion cost over all paths s..t (detours allowed). */
-std::vector<int> pathMaze(const device::Topology &topo,
-                          const CostModel &cost, int s, int t);
-
 /**
- * Min bias cost among shortest paths s..t that avoid the `blocked`
- * vertices (the commit-phase search: blocked = vertices already
- * owned by committed SWAP chains of this epoch).  `bias[v]` adds to
- * the unit entry cost of v and must be >= 0; s and t must not be
- * blocked.  Empty when no hop-optimal path clears the mask — the
- * caller falls back to the negotiated (possibly detoured) plan.
+ * Min bias cost among shortest paths s..t (inclusive) that avoid the
+ * `blocked` vertices (blocked = vertices already owned by committed
+ * SWAP chains of this epoch).  `bias[v]` adds to the unit entry cost
+ * of v and must be >= 0.  Empty when s or t is blocked or no
+ * hop-optimal path clears the mask.
  */
 std::vector<int> pathConstrained(const device::Topology &topo, int s,
                                  int t,

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
-#include "route/cost_model.h"
 #include "route/path_search.h"
 
 namespace tqan {
@@ -16,11 +14,11 @@ using core::SwapStep;
 using qap::Placement;
 
 RoutingResult
-routeNegotiatedCongestion(const qcir::Circuit &circuit,
-                          const Placement &initial,
-                          const device::Topology &topo,
-                          std::mt19937_64 &rng,
-                          const RouterOptions &opt)
+routeDisjointChains(const qcir::Circuit &circuit,
+                    const Placement &initial,
+                    const device::Topology &topo,
+                    std::mt19937_64 &rng,
+                    const RouterOptions &opt)
 {
     // Every tie-break is deterministic (vertex/net index order), so
     // the router never draws from the generator; the compile seed
@@ -130,93 +128,26 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
         unrouted.swap(still);
     };
 
-    // History persists across epochs — contention memory is the
-    // negotiation's whole point.
-    CostModel cost(topo.numQubits(), opt.rrrPresentWeight,
-                   opt.rrrHistoryWeight);
-
     while (!unrouted.empty()) {
-        // ---- Plan: one device-graph path per net, short nets first
-        // (the sort_twopins analogue).  Direct BFS while no history
-        // has accrued, monotonic (hop-optimal, congestion-aware)
-        // afterwards.
-        cost.resetPresent();
-        std::vector<int> nets = unrouted;
-        std::sort(nets.begin(), nets.end(), [&](int a, int b) {
-            int da = distOf(a), db = distOf(b);
-            return da != db ? da < db : a < b;
-        });
-        std::unordered_map<int, std::vector<int>> plan;
-        for (int k : nets) {
-            int s = phi[op_u[k]], t = phi[op_v[k]];
-            std::vector<int> p =
-                cost.idle() ? pathDirect(topo, s, t)
-                            : pathMonotonic(topo, cost, s, t);
-            if (p.empty())
-                p = pathMaze(topo, cost, s, t);
-            if (p.empty())
-                throw std::runtime_error(
-                    "route: endpoints unreachable");
-            cost.addPath(p);
-            plan[k] = std::move(p);
-        }
-
-        // ---- Negotiate: charge history on overflowed vertices, rip
-        // up the offending routes (worst congestion contribution
-        // first) and reroute them through the maze phase; stop when
-        // the overlap clears or the round cap hits.
-        for (int round = 0; round < opt.rrrMaxRounds; ++round) {
-            if (cost.totalOverflow() == 0)
-                break;
-            cost.chargeHistory();
-            std::vector<int> ripped;
-            for (int k : nets)
-                if (cost.pathOverflowed(plan[k]))
-                    ripped.push_back(k);
-            std::sort(ripped.begin(), ripped.end(),
-                      [&](int a, int b) {
-                          int oa = cost.pathOveruse(plan[a]);
-                          int ob = cost.pathOveruse(plan[b]);
-                          return oa != ob ? oa > ob : a < b;
-                      });
-            for (int k : ripped) {
-                cost.delPath(plan[k]);
-                int s = phi[op_u[k]], t = phi[op_v[k]];
-                // Reroute hop-optimally: unlike a wire, a SWAP chain
-                // pays one SWAP per extra vertex, and an overflowed
-                // net can always wait for the next epoch for free —
-                // so congestion may pick among shortest paths but
-                // never buy a detour.
-                std::vector<int> p = pathMonotonic(topo, cost, s, t);
-                if (p.empty())
-                    p = pathMaze(topo, cost, s, t);
-                if (!p.empty())
-                    plan[k] = std::move(p);
-                cost.addPath(plan[k]);
-            }
-        }
-
-        // ---- Commit: maximal vertex-disjoint set of chains, closest
-        // nets first.  Each committed net is re-planned with a
-        // hop-optimal path that avoids the vertices already owned by
-        // this epoch's chains — the negotiated (possibly detoured)
-        // plan decides GROUPING and survives only as a fallback, so
-        // a committed chain never executes a congestion detour the
-        // disjointness mask already resolved.  Among the equal-length
-        // candidates, the re-plan is biased toward vertices whose
-        // occupant still has a pending op with one of the net's
-        // endpoints: walking through them absorbs extra nets (or
-        // dresses the SWAP) for free.  The head of the order always
-        // fits an empty mask, so every epoch routes at least one net
-        // and the loop terminates.
-        std::vector<int> order = nets;
+        // ---- Commit: a maximal vertex-disjoint set of chains,
+        // closest nets first (ties to the smaller net index).  Each
+        // net gets a hop-optimal path that avoids the vertices
+        // already owned by this epoch's chains; a net with no such
+        // path waits for the next epoch, which costs nothing, where
+        // a detour would cost a SWAP per extra vertex.  Among the
+        // equal-length candidates, the path is biased toward
+        // vertices whose occupant still has a pending op with one of
+        // the net's endpoints: walking through them absorbs extra
+        // nets (or dresses the SWAP) for free.  The head of the
+        // order always fits the empty mask, so every epoch routes at
+        // least one net and the loop terminates.
+        std::vector<int> order = unrouted;
         std::sort(order.begin(), order.end(), [&](int a, int b) {
             int da = distOf(a), db = distOf(b);
             return da != db ? da < db : a < b;
         });
         std::vector<char> taken(topo.numQubits(), 0);
-        std::vector<int> committed;
-        std::unordered_map<int, std::vector<int>> chain;
+        std::vector<std::pair<int, std::vector<int>>> committed;
         for (int k : order) {
             int s = phi[op_u[k]], t = phi[op_v[k]];
             std::vector<double> bias(topo.numQubits(), 0.5);
@@ -233,24 +164,11 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
             }
             std::vector<int> p =
                 pathConstrained(topo, s, t, taken, bias);
-            if (p.empty()) {
-                // No hop-optimal path clears the mask; the
-                // negotiated plan may still be disjoint.
-                bool free = true;
-                for (int v : plan[k]) {
-                    if (taken[v]) {
-                        free = false;
-                        break;
-                    }
-                }
-                if (!free)
-                    continue;
-                p = plan[k];
-            }
+            if (p.empty())
+                continue;
             for (int v : p)
                 taken[v] = 1;
-            chain[k] = std::move(p);
-            committed.push_back(k);
+            committed.emplace_back(k, std::move(p));
         }
 
         // ---- Execute: both endpoints walk toward the middle of the
@@ -259,7 +177,7 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
         // scheduler.  Which side advances next is chosen by the
         // aggregate progress of the SWAP across ALL unrouted nets
         // (the greedy router's criterion 1, confined to the
-        // negotiated corridor), ties preferring a dressable SWAP.  A
+        // committed chain), ties preferring a dressable SWAP.  A
         // net whose op goes nearest-neighbour early (detours,
         // absorption side effects) stops its chain right there.
         auto swapDelta = [&](int x, int y) {
@@ -277,8 +195,9 @@ routeNegotiatedCongestion(const qcir::Circuit &circuit,
             }
             return d;
         };
-        for (int k : committed) {
-            const std::vector<int> &p = chain[k];
+        for (const auto &c : committed) {
+            const int k = c.first;
+            const std::vector<int> &p = c.second;
             int a = 0, b = static_cast<int>(p.size()) - 1;
             auto live = [&]() {
                 return std::find(unrouted.begin(), unrouted.end(),

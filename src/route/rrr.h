@@ -1,37 +1,35 @@
 /**
  * @file
- * Negotiated-congestion ripup-and-reroute qubit router.
+ * Disjoint-chain epoch router (registry name "rrr").
  *
- * The paper's Algorithm 1 commits each SWAP greedily and never
- * revisits a bad choice.  VLSI global routing solved the identical
- * congestion problem with iterative negotiation (PathFinder; the
- * VLSIGR RoutingCore of SNIPPETS.md Snippets 2-3): route every net
- * independently, let overflowed resources accumulate a history
- * penalty, rip up the offenders and reroute until the congestion
- * clears.  This router is that pattern adapted to SWAP routing:
+ * The paper's Algorithm 1 commits one SWAP at a time, greedily.  This
+ * router instead commits whole SWAP chains that act on disjoint
+ * qubits, so they co-execute under the ALAP scheduler.  Each epoch:
  *
  *  1. Nets: every unrouted two-qubit op at hop distance > 1 under
  *     the current placement is a net between its endpoint device
  *     qubits.
- *  2. Plan: each net gets a device-graph path via staged phases
- *     (direct BFS / monotonic / maze Dijkstra — route/path_search.h)
- *     against the congestion cost model (route/cost_model.h), with
- *     incremental add_cost/del_cost maintenance.
- *  3. Negotiate: while planned paths overlap, charge history on the
- *     overflowed vertices, rip up the worst offenders and reroute
- *     them through the maze phase, up to rrrMaxRounds rounds.
- *  4. Commit: a maximal vertex-disjoint set of planned paths (short
- *     paths first) executes as SWAP chains — each chain walks both
- *     endpoints toward the middle of its path, so the two half
- *     chains parallelise under the ALAP scheduler, and each SWAP
- *     still absorbs a mergeable circuit op as a dressed SWAP exactly
- *     like the greedy router.  Unserved nets keep their history and
- *     renegotiate next epoch; at least one net commits per epoch, so
- *     the loop terminates.
+ *  2. Commit: nets are taken in distance order (closest first, ties
+ *     to the smaller net index).  Each gets a hop-optimal path that
+ *     avoids the vertices already owned by this epoch's chains
+ *     (route/path_search.h), biased toward vertices whose occupant
+ *     still has a pending op with one of the net's endpoints, since
+ *     walking through them absorbs extra nets for free.  A net with
+ *     no such path waits for the next epoch instead of detouring.
+ *     The result is a maximal vertex-disjoint set of hop-optimal
+ *     chains.
+ *  3. Execute: each chain walks both endpoints toward the middle of
+ *     its path, choosing the side by the aggregate distance progress
+ *     over all unrouted nets.  Each SWAP still absorbs a mergeable
+ *     circuit op as a dressed SWAP exactly like the greedy router.
+ *     A chain stops as soon as its net goes nearest-neighbour.
  *
- * Output is the same RoutingResult contract (maps/nnOps/swaps,
- * routingIsValid) the rest of the pipeline consumes, selected via
- * the "rrr" entry of the router registry (core/router_registry.h).
+ * The head of each epoch's order always fits the empty mask, so at
+ * least one net commits per epoch and the loop terminates; the
+ * maxSwapFactor livelock guard stays as a backstop.  Output is the
+ * same RoutingResult contract (maps/nnOps/swaps, routingIsValid) the
+ * rest of the pipeline consumes, selected via the "rrr" entry of the
+ * router registry (core/router_registry.h).
  */
 
 #ifndef TQAN_ROUTE_RRR_H
@@ -42,14 +40,14 @@
 namespace tqan {
 namespace route {
 
-/** Route a placed step circuit by negotiated-congestion
- * ripup-and-reroute; same contract as routePermutationAware. */
+/** Route a placed step circuit by epochs of disjoint SWAP chains;
+ * same contract as routePermutationAware. */
 core::RoutingResult
-routeNegotiatedCongestion(const qcir::Circuit &circuit,
-                          const qap::Placement &initial,
-                          const device::Topology &topo,
-                          std::mt19937_64 &rng,
-                          const core::RouterOptions &opt = {});
+routeDisjointChains(const qcir::Circuit &circuit,
+                    const qap::Placement &initial,
+                    const device::Topology &topo,
+                    std::mt19937_64 &rng,
+                    const core::RouterOptions &opt = {});
 
 } // namespace route
 } // namespace tqan

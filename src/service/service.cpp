@@ -99,7 +99,7 @@ appendCanonicalOptions(std::string &s,
         throw std::invalid_argument(
             "request options must not carry sharedDistances (the "
             "service injects the memoized matrix after keying)");
-    s += "options-v2\n";
+    s += "options-v3\n";
     s += "mapper=" + core::mapperKindName(o.mapper) + "\n";
     s += "mapper_trials=" + std::to_string(o.mapperTrials) + "\n";
     s += "jobs=" + std::to_string(o.jobs) + "\n";
@@ -112,12 +112,6 @@ appendCanonicalOptions(std::string &s,
          std::to_string(o.router.unifySwaps ? 1 : 0) + "\n";
     s += "router.max_swap_factor=" +
          std::to_string(o.router.maxSwapFactor) + "\n";
-    s += "router.rrr_max_rounds=" +
-         std::to_string(o.router.rrrMaxRounds) + "\n";
-    s += "router.rrr_history_weight=" +
-         doubleBits(o.router.rrrHistoryWeight) + "\n";
-    s += "router.rrr_present_weight=" +
-         doubleBits(o.router.rrrPresentWeight) + "\n";
     s += "tabu.max_iters=" + std::to_string(o.tabu.maxIters) + "\n";
     s += "tabu.low_mul=" + std::to_string(o.tabu.tabuLowMul) + "\n";
     s += "tabu.high_mul=" + std::to_string(o.tabu.tabuHighMul) + "\n";

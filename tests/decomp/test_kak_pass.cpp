@@ -187,6 +187,101 @@ TEST(Peephole, NoCancelAcrossBlockingOp)
     EXPECT_EQ(out.countKind(OpKind::Cnot), 2);
 }
 
+namespace {
+
+/** The restart-after-every-pair fixpoint loop cancelAdjacentCnots
+ * replaced, kept verbatim as the reference for its one-pass form. */
+Circuit
+cancelAdjacentCnotsFixpoint(const Circuit &c)
+{
+    std::vector<Op> ops = c.ops();
+    bool changed = true;
+    while (changed) {
+        changed = false;
+        std::vector<int> last(c.numQubits(), -1);
+        for (size_t i = 0; i < ops.size() && !changed; ++i) {
+            const Op &op = ops[i];
+            if (op.kind == OpKind::Cnot) {
+                int l0 = last[op.q0], l1 = last[op.q1];
+                if (l0 >= 0 && l0 == l1 &&
+                    ops[l0].kind == OpKind::Cnot &&
+                    ops[l0].q0 == op.q0 && ops[l0].q1 == op.q1) {
+                    ops.erase(ops.begin() + i);
+                    ops.erase(ops.begin() + l0);
+                    changed = true;
+                    break;
+                }
+            }
+            last[op.q0] = static_cast<int>(i);
+            if (op.isTwoQubit())
+                last[op.q1] = static_cast<int>(i);
+        }
+    }
+    Circuit out(c.numQubits());
+    for (const auto &op : ops)
+        out.add(op);
+    return out;
+}
+
+} // namespace
+
+TEST(Peephole, CancelAdjacentCnotsMatchesFixpointReference)
+{
+    // Few qubits and CNOT-heavy draws make long cancellation
+    // cascades: runs of CX(a,b), reversed CX(b,a) blockers, CZs on
+    // the same pair and 1q ops in between.
+    std::mt19937_64 rng(20220611);
+    int cancelled = 0;
+    for (int trial = 0; trial < 1500; ++trial) {
+        int n = 2 + static_cast<int>(rng() % 3);
+        int len = static_cast<int>(rng() % 40);
+        Circuit c(n);
+        int a = 0, b = 1;
+        for (int i = 0; i < len; ++i) {
+            int r = static_cast<int>(rng() % 10);
+            if (r < 3) {
+                c.add(Op::cnot(a, b));  // repeat: cascades
+            } else if (r < 5) {
+                a = static_cast<int>(rng() % n);
+                b = (a + 1 + static_cast<int>(rng() % (n - 1))) % n;
+                c.add(Op::cnot(a, b));
+            } else if (r < 7) {
+                c.add(Op::cnot(b, a));
+            } else if (r < 8) {
+                c.add(Op::cz(a, b));
+            } else {
+                c.add(Op::rz(static_cast<int>(rng() % n), 0.1 * i));
+            }
+        }
+        Circuit fast = cancelAdjacentCnots(c);
+        Circuit ref = cancelAdjacentCnotsFixpoint(c);
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        ASSERT_EQ(fast.size(), ref.size());
+        for (int i = 0; i < fast.size(); ++i) {
+            EXPECT_EQ(fast.op(i).kind, ref.op(i).kind);
+            EXPECT_EQ(fast.op(i).q0, ref.op(i).q0);
+            EXPECT_EQ(fast.op(i).q1, ref.op(i).q1);
+            EXPECT_EQ(fast.op(i).theta, ref.op(i).theta);
+        }
+        cancelled += c.size() - fast.size();
+    }
+    EXPECT_GT(cancelled, 1000);  // the draws do exercise cascades
+}
+
+TEST(Peephole, CancelAdjacentCnotsCascades)
+{
+    // CX CX CX CX vanishes; CX(0,1) CX(1,0) CX(1,0) CX(0,1) collapses
+    // from the middle out.
+    Circuit c(2);
+    for (int i = 0; i < 4; ++i)
+        c.add(Op::cnot(0, 1));
+    c.add(Op::cnot(0, 1));
+    c.add(Op::cnot(1, 0));
+    c.add(Op::cnot(1, 0));
+    c.add(Op::cnot(0, 1));
+    EXPECT_EQ(cancelAdjacentCnots(c).size(), 0);
+}
+
 TEST(Peephole, MergeAdjacent1q)
 {
     Circuit c(2);

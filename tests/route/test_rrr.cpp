@@ -1,6 +1,6 @@
 /**
  * @file
- * Properties of the negotiated-congestion ripup-and-reroute router:
+ * Properties of the disjoint-chain epoch router (rrr):
  * convergence on adversarial dense interaction graphs (the livelock
  * guard never trips, every route validates), rng-independence of the
  * rrr phase itself, and per-router batch determinism — for every

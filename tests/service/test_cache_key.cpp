@@ -47,9 +47,6 @@ struct RouterOptionsMirror
     std::string name;
     bool unifySwaps;
     int maxSwapFactor;
-    int rrrMaxRounds;
-    double rrrHistoryWeight;
-    double rrrPresentWeight;
 };
 struct CompilerOptionsMirror
 {
@@ -107,6 +104,20 @@ expectKeyChanges(const char *field, const CompileRequest &mutated)
 TEST(CacheKey, IsDeterministic)
 {
     EXPECT_EQ(keyOf(baseRequest()), keyOf(baseRequest()));
+}
+
+TEST(CacheKey, OptionsBlockIsV3WithoutRrrKnobs)
+{
+    // The options block names its layout version, so a cache written
+    // under another layout (v2 still keyed router.rrr_* lines) never
+    // serves a hit under this one.
+    CompileRequest r = baseRequest();
+    device::Topology topo = testgen::topologyFromSpec(r.device);
+    std::string canon = CompileService::canonicalRequest(r, topo);
+    size_t at = canon.find("\noptions-");
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_EQ(canon.compare(at + 1, 11, "options-v3\n"), 0) << canon;
+    EXPECT_EQ(canon.find("router.rrr_"), std::string::npos) << canon;
 }
 
 TEST(CacheKey, CoversEveryRequestField)
@@ -169,18 +180,6 @@ TEST(CacheKey, CoversEveryCompilerOptionsField)
     r = baseRequest();
     r.options.router.maxSwapFactor += 1;
     expectKeyChanges("options.router.maxSwapFactor", r);
-
-    r = baseRequest();
-    r.options.router.rrrMaxRounds += 1;
-    expectKeyChanges("options.router.rrrMaxRounds", r);
-
-    r = baseRequest();
-    r.options.router.rrrHistoryWeight += 0.25;
-    expectKeyChanges("options.router.rrrHistoryWeight", r);
-
-    r = baseRequest();
-    r.options.router.rrrPresentWeight += 0.25;
-    expectKeyChanges("options.router.rrrPresentWeight", r);
 
     r = baseRequest();
     r.options.tabu.maxIters += 1;

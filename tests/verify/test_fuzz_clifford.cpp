@@ -34,7 +34,7 @@ TEST(FuzzClifford, FiveHundredScenariosAtHundredQubitsExact)
     opt.scenario.structuredFraction = 0.5;  // grid / heavy-hex legs
 
     // The gate covers every registered backend, including the
-    // ripup-and-reroute pipeline.
+    // rrr pipeline.
     std::vector<std::string> names = core::backendNames();
     ASSERT_NE(std::find(names.begin(), names.end(), "2qan_rrr"),
               names.end());
