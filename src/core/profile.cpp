@@ -62,6 +62,18 @@ record(const std::string &name, double seconds)
     s.seconds += seconds;
 }
 
+void
+add(const char *name, std::uint64_t n)
+{
+    if (!enabled())
+        return;
+    Registry &r = registry();
+    std::lock_guard<std::mutex> lock(r.mu);
+    ScopeStats &s = r.stats[name];
+    s.name = name;
+    s.calls += n;
+}
+
 std::vector<ScopeStats>
 snapshot()
 {

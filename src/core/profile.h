@@ -64,6 +64,12 @@ count(const std::string &name)
     record(name, 0.0);
 }
 
+/** Count `n` events at once: adds n calls and zero seconds.  The
+ * algorithm counters (tabu iterations, skipped scan rows) tally in
+ * locals and publish once per kernel call this way.  No-op while
+ * disabled, and cheap then: the name is not even copied. */
+void add(const char *name, std::uint64_t n);
+
 /** All collected stats, sorted by name (deterministic for tests). */
 std::vector<ScopeStats> snapshot();
 

@@ -24,7 +24,12 @@ Topology::Topology(std::string name, graph::Graph coupling)
     if (!coupling_.isConnected())
         throw std::invalid_argument(
             "Topology: coupling graph must be connected");
-    dist_ = graph::floydWarshall(coupling_);
+    // One BFS per source: O(n * edges) where Floyd-Warshall would be
+    // O(n^3), and it is exact for unit-weight hops.
+    int n = coupling_.numNodes();
+    dist_.reserve(n);
+    for (int s = 0; s < n; ++s)
+        dist_.push_back(coupling_.bfsDistances(s));
 }
 
 } // namespace device

@@ -1,7 +1,6 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 
 namespace tqan {
@@ -41,16 +40,16 @@ std::vector<int>
 Graph::bfsDistances(int src) const
 {
     std::vector<int> dist(n_, -1);
-    std::deque<int> q;
+    std::vector<int> queue;
+    queue.reserve(n_);
     dist[src] = 0;
-    q.push_back(src);
-    while (!q.empty()) {
-        int v = q.front();
-        q.pop_front();
+    queue.push_back(src);
+    for (size_t head = 0; head < queue.size(); ++head) {
+        int v = queue[head];
         for (int w : adj_[v]) {
             if (dist[w] < 0) {
                 dist[w] = dist[v] + 1;
-                q.push_back(w);
+                queue.push_back(w);
             }
         }
     }
@@ -65,23 +64,6 @@ Graph::isConnected() const
     auto d = bfsDistances(0);
     return std::all_of(d.begin(), d.end(),
                        [](int x) { return x >= 0; });
-}
-
-std::vector<std::vector<int>>
-floydWarshall(const Graph &g)
-{
-    int n = g.numNodes();
-    const int inf = n;  // any real path has < n hops
-    std::vector<std::vector<int>> d(n, std::vector<int>(n, inf));
-    for (int i = 0; i < n; ++i)
-        d[i][i] = 0;
-    for (const auto &[u, v] : g.edges())
-        d[u][v] = d[v][u] = 1;
-    for (int k = 0; k < n; ++k)
-        for (int i = 0; i < n; ++i)
-            for (int j = 0; j < n; ++j)
-                d[i][j] = std::min(d[i][j], d[i][k] + d[k][j]);
-    return d;
 }
 
 } // namespace graph

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <numeric>
 #include <thread>
@@ -24,17 +25,34 @@ namespace qap {
  *
  *  - Integral data (hop-distance QAPs: flows are interaction counts,
  *    distances are hop counts).  Every delta is a sum of products of
- *    small integers, each exactly representable in a double, so
- *    Taillard's O(1) correction
+ *    small integers, each exactly representable in a double, so any
+ *    rearrangement of the sum is computed without rounding and is
+ *    bit-equal to a fresh evaluation (a zero may come out as -0.0,
+ *    which compares equal).  Two rearrangements are used; p is the
+ *    post-exchange permutation, {u,v} the moved pair.
+ *
+ *    Rows of a flow partner w of u or v take Taillard's O(1)
+ *    correction, valid for {a,b} disjoint from {u,v}:
  *
  *        delta'(a,b) = delta(a,b) + (g_a - g_b) * (h_b - h_a),
  *        g_x = f[x][u] - f[x][v],
- *        h_x = d[perm'[x]][perm'[u]] - d[perm'[x]][perm'[v]]
+ *        h_x = d[p[x]][p[u]] - d[p[x]][p[v]]
  *
- *    (perm' = post-exchange permutation; valid for {a,b} disjoint
- *    from the moved pair {u,v}) is computed without rounding and is
- *    bit-equal to a fresh evaluation.  Entries touching u or v have
- *    no O(1) form and are re-evaluated.
+ *    Pairs touching a moved facility s are rebuilt from the self
+ *    costs C[x] = sum_j f[x][j] * d[p[x]][p[j]], kept current for
+ *    the touched facilities (u, v and their flow partners):
+ *
+ *        delta(s,m) = S[p[m]] - C[s] + (F q)[m] - C[m]
+ *                     + 2 f[s][m] * d[p[s]][p[m]],
+ *        S[x] = sum_k f[s][k] * d[p[k]][x],   q[j] = d[p[s]][p[j]]
+ *
+ *    S[p[m]] - C[s] moves s to p[m] and (F q)[m] - C[m] moves m to
+ *    p[s]; both count the s-m interaction as if the other end stayed
+ *    put, which the last term (nonzero only for s's own partners)
+ *    puts right, given a zero distance diagonal.  S and q are
+ *    gathered once per moved facility, so each entry costs deg(m)
+ *    sequential reads where evaluate() makes 2 deg random loads all
+ *    over the distance matrix.
  *
  *  - Non-integral data (noise-aware distances): the correction could
  *    round differently from a fresh evaluation and flip near-tie
@@ -45,6 +63,14 @@ namespace qap {
  * entry refreshes — O(nloc * deg) for the bounded-degree interaction
  * graphs of 2-local Hamiltonians — instead of the full
  * O(n * nloc * deg) rescan of the naive kernel.
+ *
+ * Row bounds: rowLo_[a] <= every entry of row a, so the scan may
+ * skip row a once its best move so far is <= rowLo_[a].  Every
+ * touched facility's row (moved or flow partner) gets its exact
+ * minimum back after the update; the single column entries an
+ * update writes into other rows lower those rows' bounds, which then
+ * stay valid but may sit below the true minimum until that row is
+ * touched itself.
  */
 
 namespace {
@@ -79,6 +105,37 @@ isSymmetric(const linalg::FlatMatrix &m)
     return true;
 }
 
+bool
+hasZeroDiagonal(const linalg::FlatMatrix &m)
+{
+    for (int i = 0; i < m.rows(); ++i)
+        if (m[i][i] != 0.0)
+            return false;
+    return true;
+}
+
+/** Minimum of p[lo, hi), ignoring NaN (+inf when empty).  Four
+ * independent chains hide the compare latency; a minimum is exact,
+ * so the grouping cannot change the result. */
+double
+rowMin(const double *p, int lo, int hi)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    double m0 = inf, m1 = inf, m2 = inf, m3 = inf;
+    int b = lo;
+    for (; b + 4 <= hi; b += 4) {
+        m0 = p[b] < m0 ? p[b] : m0;
+        m1 = p[b + 1] < m1 ? p[b + 1] : m1;
+        m2 = p[b + 2] < m2 ? p[b + 2] : m2;
+        m3 = p[b + 3] < m3 ? p[b + 3] : m3;
+    }
+    for (; b < hi; ++b)
+        m0 = p[b] < m0 ? p[b] : m0;
+    m0 = m1 < m0 ? m1 : m0;
+    m2 = m3 < m2 ? m3 : m2;
+    return m2 < m0 ? m2 : m0;
+}
+
 } // namespace
 
 DeltaTable::DeltaTable(const linalg::FlatMatrix &flow,
@@ -94,12 +151,14 @@ DeltaTable::DeltaTable(const linalg::FlatMatrix &flow,
 
     // update() infers the stale entries from the moved facilities'
     // flow rows, which is only sound when flow is symmetric; the
-    // O(1) correction additionally reads dist by row where the
-    // derivation says column, so it needs dist symmetric too.  Both
-    // hold for every flow/distance matrix the compiler builds.
+    // integral rearrangements additionally read dist by row where the
+    // derivation says column, so they need dist symmetric too, and
+    // the moved-facility form assumes d[x][x] == 0.  All of this
+    // holds for every flow/distance matrix the compiler builds.
     flowSymmetric_ = isSymmetric(flow);
     exact_ = flowSymmetric_ && allSmallIntegers(flow) &&
-             allSmallIntegers(dist) && isSymmetric(dist);
+             allSmallIntegers(dist) && isSymmetric(dist) &&
+             hasZeroDiagonal(dist);
 
     nzOff_.assign(n_ + 1, 0);
     for (int i = 0; i < n_; ++i) {
@@ -123,11 +182,15 @@ DeltaTable::DeltaTable(const linalg::FlatMatrix &flow,
     }
 
     table_.assign(static_cast<size_t>(n_) * nloc_, 0.0);
+    rowLo_.assign(n_, 0.0);
+    self_.assign(n_, 0.0);
     touched_.reserve(nloc_);
     inSet_.assign(nloc_, 0);
     g_.assign(nloc_, 0.0);
     h_.assign(nloc_, 0.0);
     s_.assign(nloc_, 0.0);
+    q_.assign(n_, 0.0);
+    pf_.assign(n_, 0.0);
 }
 
 double
@@ -158,6 +221,37 @@ DeltaTable::evaluate(const std::vector<int> &perm, int a, int b) const
     return dd;
 }
 
+double
+DeltaTable::selfCost(const std::vector<int> &perm, int x) const
+{
+    const double *dx = (*dist_)[perm[x]];
+    double c = 0.0;
+    for (int k = nzOff_[x]; k < nzOff_[x + 1]; ++k)
+        c += nzVal_[k] * dx[perm[nzCol_[k]]];
+    return c;
+}
+
+void
+DeltaTable::lower(int a, double value)
+{
+    if (value < rowLo_[a])
+        rowLo_[a] = value;
+}
+
+void
+DeltaTable::write(int a, int b, double value)
+{
+    table_[static_cast<size_t>(a) * nloc_ + b] = value;
+    lower(a, value);
+}
+
+void
+DeltaTable::tightenRow(int a)
+{
+    rowLo_[a] = rowMin(table_.data() + static_cast<size_t>(a) * nloc_,
+                       a + 1, nloc_);
+}
+
 void
 DeltaTable::reset(const std::vector<int> &perm)
 {
@@ -165,6 +259,9 @@ DeltaTable::reset(const std::vector<int> &perm)
         double *row = table_.data() + static_cast<size_t>(a) * nloc_;
         for (int b = a + 1; b < nloc_; ++b)
             row[b] = evaluate(perm, a, b);
+        tightenRow(a);
+        if (exact_)
+            self_[a] = selfCost(perm, a);
     }
 }
 
@@ -206,12 +303,15 @@ DeltaTable::update(const std::vector<int> &perm, int u, int v)
                 int a = std::min(s, m), b = std::max(s, m);
                 if (a >= n_)
                     continue;  // dummy-dummy pairs never scanned
-                table_[static_cast<size_t>(a) * nloc_ + b] =
-                    evaluate(perm, a, b);
+                write(a, b, evaluate(perm, a, b));
             }
         }
-        for (int s : touched_)
+        // Every touched row was rewritten whole.
+        for (int s : touched_) {
             inSet_[s] = 0;
+            if (s < n_)
+                tightenRow(s);
+        }
         return;
     }
 
@@ -230,6 +330,11 @@ DeltaTable::update(const std::vector<int> &perm, int u, int v)
     if (v < n_)
         for (int k = nzOff_[v]; k < nzOff_[v + 1]; ++k)
             g_[nzCol_[k]] -= nzVal_[k];
+    // The touched set is exactly the facilities whose self cost read
+    // slot u or v.
+    for (int s : touched_)
+        if (s < n_)
+            self_[s] = selfCost(perm, s);
 
     for (int s : touched_) {
         if (s == u || s == v)
@@ -237,6 +342,12 @@ DeltaTable::update(const std::vector<int> &perm, int u, int v)
         else
             correctPartnerRow(s, u, v);
     }
+    // The moved rows are whole again (the (u, v) entry was written on
+    // u's turn, into whichever row holds it).
+    if (u < n_)
+        tightenRow(u);
+    if (v < n_)
+        tightenRow(v);
 
     for (int s : touched_)
         inSet_[s] = 0;
@@ -254,43 +365,54 @@ DeltaTable::refreshMovedFacility(const std::vector<int> &perm, int s,
 {
     // Owns every pair that includes the moved facility s; the pair
     // (u, v) itself is refreshed on u's turn only.
+    const double *dps = (*dist_)[perm[s]];
+    for (int j = 0; j < n_; ++j)
+        q_[j] = dps[perm[j]];
+    auto fq = [this](int m) {
+        double x = 0.0;
+        for (int k = nzOff_[m]; k < nzOff_[m + 1]; ++k)
+            x += nzVal_[k] * q_[nzCol_[k]];
+        return x;
+    };
+
     if (s >= n_) {
-        // A dummy was moved: only the n real rows can pair with it.
+        // A dummy was moved: it carries no flow, so S, C[s] and the
+        // partner term vanish and only the n real rows pair with it.
         for (int a = 0; a < n_; ++a) {
             if (a == u && s == v)
                 continue;
-            table_[static_cast<size_t>(a) * nloc_ + s] =
-                evaluate(perm, a, s);
+            write(a, s, fq(a) - self_[a]);
         }
         return;
     }
 
-    // s_[x] = sum_k f_sk * d[perm[k]][x] over s's partners k; then a
-    // pair with a flowless partner m is the pure relocation
-    //     delta(s, m) = s_[perm[m]] - s_[perm[s]]
-    // (exact: integer products and sums).  Partner-side terms exist
-    // only for the <= n real facilities, evaluated directly.
+    // S = s_ over every location; pf_ holds f[s][m] for the partner
+    // term.  A pair with a flowless partner m reduces to the pure
+    // relocation S[p[m]] - C[s].
     std::fill(s_.begin(), s_.end(), 0.0);
     for (int k = nzOff_[s]; k < nzOff_[s + 1]; ++k) {
         const double *drow = (*dist_)[perm[nzCol_[k]]];
         double f = nzVal_[k];
         for (int x = 0; x < nloc_; ++x)
             s_[x] += f * drow[x];
+        pf_[nzCol_[k]] = f;
     }
-    double sHome = s_[perm[s]];
+    double cs = self_[s];
 
     for (int m = 0; m < n_; ++m) {
         if (m == s || (s == v && m == u))
             continue;
-        int a = std::min(s, m), b = std::max(s, m);
-        table_[static_cast<size_t>(a) * nloc_ + b] =
-            evaluate(perm, a, b);
+        double dd = s_[perm[m]] - cs + fq(m) - self_[m] +
+                    2.0 * pf_[m] * q_[m];
+        write(std::min(s, m), std::max(s, m), dd);
     }
+    for (int k = nzOff_[s]; k < nzOff_[s + 1]; ++k)
+        pf_[nzCol_[k]] = 0.0;
     double *row = table_.data() + static_cast<size_t>(s) * nloc_;
     for (int b = std::max(n_, s + 1); b < nloc_; ++b) {
         if (s == v && b == u)
             continue;
-        row[b] = s_[perm[b]] - sHome;
+        row[b] = s_[perm[b]] - cs;
     }
 }
 
@@ -307,9 +429,11 @@ DeltaTable::correctPartnerRow(int w, int u, int v)
         if (a == u || a == v || inSet_[a])
             continue;
         double coeff = g_[a] - gw;
-        if (coeff != 0.0)
-            table_[static_cast<size_t>(a) * nloc_ + w] +=
-                coeff * (hw - h_[a]);
+        if (coeff != 0.0) {
+            double &e = table_[static_cast<size_t>(a) * nloc_ + w];
+            e += coeff * (hw - h_[a]);
+            lower(a, e);
+        }
     }
     double *row = table_.data() + static_cast<size_t>(w) * nloc_;
     for (int b = w + 1; b < n_; ++b) {
@@ -335,6 +459,9 @@ DeltaTable::correctPartnerRow(int w, int u, int v)
             sweep(lo, nloc_);
         }
     }
+    // Every entry of the row not owned by u or v is final now, and
+    // those are written through write(), which lowers the bound.
+    tightenRow(w);
 }
 
 namespace {
@@ -405,22 +532,35 @@ tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
     // (called once per row per iteration).
     const auto scan = simd::kernels().scanBelow;
 
+    // Algorithm counters, published once per search.
+    std::uint64_t iters = 0, rowsScanned = 0, rowsSkipped = 0,
+                  aspirations = 0;
+
     int stall = 0;
     for (int it = 0; it < opt.maxIters && stall < opt.stallLimit;
          ++it) {
+        ++iters;
         double best_delta = 0.0;
         int ba = -1, bb = -1;
-        bool found = false;
+        bool found = false, aspired = false;
         for (int a = 0; a < n; ++a) {
-            const double *drow = memoize ? deltas.row(a) : nullptr;
             const int *trow = tabu.data() + a * nloc;
             int pa = perm[a];
-            if (drow) {
+            if (memoize) {
+                // A row whose bound cannot beat the best move so far
+                // holds no entry the strict < below would take, so
+                // skipping it leaves the selected move unchanged.
+                if (found && deltas.rowBound(a) >= best_delta) {
+                    ++rowsSkipped;
+                    continue;
+                }
+                ++rowsScanned;
                 // Memoized row: the cannot-beat-best skip runs as a
                 // SIMD scan for the first strictly-better delta.
                 // Strict < in left-to-right order is exactly the
                 // scalar predicate, so the selected move (and every
                 // downstream placement) is bit-identical.
+                const double *drow = deltas.row(a);
                 for (int b = a + 1; b < nloc; ++b) {
                     if (found) {
                         b = scan(drow, b, nloc, best_delta);
@@ -437,9 +577,11 @@ tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
                     ba = a;
                     bb = b;
                     found = true;
+                    aspired = is_tabu;
                 }
                 continue;
             }
+            ++rowsScanned;
             for (int b = a + 1; b < nloc; ++b) {
                 double dd = deltas.evaluate(perm, a, b);
                 // A pair that cannot beat the current best move is
@@ -457,12 +599,15 @@ tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
                 ba = a;
                 bb = b;
                 found = true;
+                aspired = is_tabu;
             }
         }
         if (!found) {
             ++stall;
             continue;
         }
+        if (aspired)
+            ++aspirations;
 
         int t = tenure(rng);
         tabu[ba * nloc + perm[ba]] = it + t;
@@ -480,6 +625,10 @@ tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
         }
     }
 
+    core::profile::add("qap.tabu.iters", iters);
+    core::profile::add("qap.tabu.rows_scanned", rowsScanned);
+    core::profile::add("qap.tabu.rows_skipped", rowsSkipped);
+    core::profile::add("qap.tabu.aspirations", aspirations);
     return Placement(best_perm.begin(), best_perm.begin() + n);
 }
 

@@ -15,8 +15,10 @@
  * accepted move refreshes only the entries whose inputs changed
  * (O(nloc * deg) for the bounded-degree flows of 2-local
  * Hamiltonians) instead of re-deriving every delta from the sparse
- * flow.  Refreshes re-evaluate in the exact summation order of a
- * fresh computation, so results are bit-identical to the naive
+ * flow.  A per-row lower bound lets the scan skip whole rows that
+ * cannot beat the best move found so far.  Every cached value is
+ * bit-equal to a fresh evaluation and the skip drops only rows with
+ * no possible winner, so results are bit-identical to the naive
  * rescanning kernel — the golden sweep is the oracle.
  */
 
@@ -50,15 +52,20 @@ struct TabuOptions
  * moved facilities or their flow partners) are refreshed.
  *
  * Bit-identity contract: a cached value always equals what
- * evaluate() returns bit-for-bit.  Entries touching a moved facility
- * are re-evaluated outright.  For the flow-partner rows there are
- * two paths: when every flow and distance entry is a small integer
- * (the hop-distance QAP — the paper's case), every delta is an
- * exactly-representable integer, so Taillard's O(1) algebraic
- * correction is applied per entry and is *exact*, hence bit-equal to
- * re-evaluation.  Non-integral distance matrices (noise-aware
- * placement) take the slower path: full re-evaluation in the same
- * summation order, so the guarantee holds there too.
+ * evaluate() returns (up to the sign of a zero).  When every flow and
+ * distance entry is a small integer (the hop-distance QAP — the
+ * paper's case), every delta is an exactly-representable integer, so
+ * any summation order gives the same bits: the rows of the moved
+ * facilities are rebuilt from per-facility self costs in O(1) per
+ * entry, and the flow-partner rows take Taillard's O(1) algebraic
+ * correction.  Non-integral distance matrices (noise-aware
+ * placement) take the slower path: full re-evaluation in evaluate()
+ * order, so the guarantee holds there too.
+ *
+ * Row-bound invariant: rowBound(a) <= delta(a, b) for every b > a
+ * (NaN entries aside, which never win a strict < comparison).  The
+ * rows of the facilities an update touches get their exact minimum
+ * back; any other entry it writes lowers the bound of its row.
  *
  * Public for the kernel's property tests; not a stable API.
  */
@@ -85,6 +92,9 @@ class DeltaTable
         return table_.data() + static_cast<size_t>(a) * nloc_;
     }
 
+    /** Lower bound of every cached entry of row a (b > a). */
+    double rowBound(int a) const { return rowLo_[a]; }
+
     /** Fresh evaluation against `perm`, bypassing the cache. */
     double evaluate(const std::vector<int> &perm, int a, int b) const;
 
@@ -96,7 +106,8 @@ class DeltaTable
     int locations() const { return nloc_; }
 
     /** True when the integral fast path is active (every flow and
-     * distance entry is a small integer, both symmetric). */
+     * distance entry is a small integer, both symmetric, and the
+     * distance diagonal is zero). */
     bool exactArithmetic() const { return exact_; }
 
     /** update() is only sound for symmetric flow (stale entries are
@@ -115,12 +126,22 @@ class DeltaTable
     std::vector<int> nzOff_, nzCol_;
     std::vector<double> nzVal_;
     std::vector<double> table_;  ///< n_ x nloc_, entries b > a used
+    std::vector<double> rowLo_;  ///< per-row lower bound of table_
+    /** self_[x] = sum_j f_xj * d[perm x][perm j]: facility x's share
+     * of the cost (integral path only). */
+    std::vector<double> self_;
     std::vector<int> touched_;   ///< scratch: facilities to refresh
     std::vector<char> inSet_;    ///< scratch membership flags
     std::vector<double> g_;      ///< scratch: flow-difference column
     std::vector<double> h_;      ///< scratch: distance differences
     std::vector<double> s_;      ///< scratch: moved-row dot products
+    std::vector<double> q_;      ///< scratch: distances to a moved slot
+    std::vector<double> pf_;     ///< scratch: a moved facility's flows
 
+    double selfCost(const std::vector<int> &perm, int x) const;
+    void lower(int a, double value);
+    void write(int a, int b, double value);
+    void tightenRow(int a);
     void refreshMovedFacility(const std::vector<int> &perm, int s,
                               int u, int v);
     void correctPartnerRow(int w, int u, int v);

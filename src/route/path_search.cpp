@@ -1,61 +1,46 @@
 #include "route/path_search.h"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
 
 namespace tqan {
 namespace route {
 
 std::vector<int>
 pathConstrained(const device::Topology &topo, int s, int t,
-                const std::vector<char> &blocked,
-                const std::vector<double> &bias)
+                const std::vector<char> &blocked)
 {
     if (blocked[s] || blocked[t])
         return {};
-    // Dijkstra on the per-vertex entry cost 1 + bias, taking only
-    // edges that strictly decrease the hop distance to t.  The
-    // priority queue orders by (cost, vertex id).
-    const int n = topo.numQubits();
-    const double inf = std::numeric_limits<double>::infinity();
-    std::vector<double> d(n, inf);
-    std::vector<int> prev(n, -1);
-    std::vector<char> done(n, 0);
-    using Entry = std::pair<double, int>;
-    std::priority_queue<Entry, std::vector<Entry>,
-                        std::greater<Entry>>
-        pq;
-    d[s] = 0.0;
-    pq.push({0.0, s});
-    while (!pq.empty()) {
-        auto [dc, u] = pq.top();
-        pq.pop();
-        if (done[u])
-            continue;
-        done[u] = 1;
-        if (u == t)
-            break;
-        for (int v : topo.neighbors(u)) {
-            if (done[v] || blocked[v])
-                continue;
-            if (topo.dist(v, t) != topo.dist(u, t) - 1)
-                continue;
-            // The target costs nothing to enter: the chain stops
-            // short of it (the net's other endpoint lives there).
-            double nd = dc + (v == t ? 0.0 : 1.0 + bias[v]);
-            if (nd < d[v] || (nd == d[v] && u < prev[v])) {
-                d[v] = nd;
-                prev[v] = u;
-                pq.push({nd, v});
-            }
-        }
+    // Forward: the vertices s reaches through unblocked vertices
+    // when every step is one hop closer to t, level by level.
+    std::vector<char> reach(topo.numQubits(), 0);
+    std::vector<int> frontier{s}, next;
+    reach[s] = 1;
+    for (int hops = topo.dist(s, t); hops > 0 && !frontier.empty();
+         --hops) {
+        next.clear();
+        for (int x : frontier)
+            for (int y : topo.neighbors(x))
+                if (!reach[y] && !blocked[y] &&
+                    topo.dist(y, t) == hops - 1) {
+                    reach[y] = 1;
+                    next.push_back(y);
+                }
+        frontier.swap(next);
     }
-    if (d[t] == inf)
+    if (!reach[t])
         return {};
-    std::vector<int> path;
-    for (int v = t; v != -1; v = prev[v])
-        path.push_back(v);
+    // Backward: from t, step to the smallest-id reached vertex one
+    // hop farther from t; only s lies at the full distance.
+    std::vector<int> path{t};
+    while (path.back() != s) {
+        int v = path.back(), prev = -1;
+        for (int x : topo.neighbors(v))
+            if (reach[x] && topo.dist(x, t) == topo.dist(v, t) + 1 &&
+                (prev < 0 || x < prev))
+                prev = x;
+        path.push_back(prev);
+    }
     std::reverse(path.begin(), path.end());
     return path;
 }

@@ -1,10 +1,9 @@
 /**
  * @file
- * Commit-phase path search of the rrr router: minimum bias cost among
- * the *shortest* device-graph paths that avoid a blocked-vertex mask.
- * It is Dijkstra restricted to the shortest-path DAG toward the
- * target (every step must decrease the hop distance), so path length
- * stays hop-optimal while the bias picks among equal-length paths.
+ * Commit-phase path search of the rrr router: a *shortest*
+ * device-graph path that avoids a blocked-vertex mask.  It walks the
+ * shortest-path DAG toward the target (every step must decrease the
+ * hop distance), so path length stays hop-optimal.
  *
  * The search is deterministic: ties break toward the smaller vertex
  * id, never the rng, so routing is reproducible and jobs-invariant by
@@ -22,16 +21,16 @@ namespace tqan {
 namespace route {
 
 /**
- * Min bias cost among shortest paths s..t (inclusive) that avoid the
- * `blocked` vertices (blocked = vertices already owned by committed
- * SWAP chains of this epoch).  `bias[v]` adds to the unit entry cost
- * of v and must be >= 0.  Empty when s or t is blocked or no
- * hop-optimal path clears the mask.
+ * A shortest path s..t (inclusive) that avoids the `blocked` vertices
+ * (blocked = vertices already owned by committed SWAP chains of this
+ * epoch).  Among the candidates it is the one found by walking back
+ * from t, each step to the smallest-id vertex one hop farther from t
+ * that s can reach through unblocked vertices.  Empty when s or t is
+ * blocked or no hop-optimal path clears the mask.
  */
 std::vector<int> pathConstrained(const device::Topology &topo, int s,
                                  int t,
-                                 const std::vector<char> &blocked,
-                                 const std::vector<double> &bias);
+                                 const std::vector<char> &blocked);
 
 } // namespace route
 } // namespace tqan

@@ -134,13 +134,23 @@ routeDisjointChains(const qcir::Circuit &circuit,
         // net gets a hop-optimal path that avoids the vertices
         // already owned by this epoch's chains; a net with no such
         // path waits for the next epoch, which costs nothing, where
-        // a detour would cost a SWAP per extra vertex.  Among the
-        // equal-length candidates, the path is biased toward
-        // vertices whose occupant still has a pending op with one of
-        // the net's endpoints: walking through them absorbs extra
-        // nets (or dresses the SWAP) for free.  The head of the
-        // order always fits the empty mask, so every epoch routes at
-        // least one net and the loop terminates.
+        // a detour would cost a SWAP per extra vertex.  The head of
+        // the order always fits the empty mask, so every epoch
+        // routes at least one net and the loop terminates.
+        //
+        // No absorb bias: steering the path toward a vertex w whose
+        // occupant has a pending op with one of the net's endpoints
+        // (so the walk absorbs that op) cannot change the path, as
+        // no such w lies on a clear shortest s-t path.  Say the op
+        // pairs w with s's occupant and w is on a shortest s-t path.
+        // Then 1 < dist(s,w) < dist(s,t) (an unrouted op is never
+        // nearest-neighbour), so the op is a shorter net, earlier in
+        // this epoch's order.  Had it committed, its chain would own
+        // s and this search would come back empty.  It did not, so
+        // no shortest s-w path was clear even under the smaller mask
+        // of its turn, and none is clear now.  An op pairing w with
+        // t's occupant is the mirror image.  A bias on w could only
+        // reach paths that are not candidates.
         std::vector<int> order = unrouted;
         std::sort(order.begin(), order.end(), [&](int a, int b) {
             int da = distOf(a), db = distOf(b);
@@ -150,20 +160,7 @@ routeDisjointChains(const qcir::Circuit &circuit,
         std::vector<std::pair<int, std::vector<int>>> committed;
         for (int k : order) {
             int s = phi[op_u[k]], t = phi[op_v[k]];
-            std::vector<double> bias(topo.numQubits(), 0.5);
-            for (int k2 : unrouted) {
-                if (k2 == k)
-                    continue;
-                int other = -1;
-                if (op_u[k2] == op_u[k] || op_u[k2] == op_v[k])
-                    other = op_v[k2];
-                else if (op_v[k2] == op_u[k] || op_v[k2] == op_v[k])
-                    other = op_u[k2];
-                if (other >= 0)
-                    bias[phi[other]] = 0.0;
-            }
-            std::vector<int> p =
-                pathConstrained(topo, s, t, taken, bias);
+            std::vector<int> p = pathConstrained(topo, s, t, taken);
             if (p.empty())
                 continue;
             for (int v : p)

@@ -12,10 +12,8 @@
  *  2. Commit: nets are taken in distance order (closest first, ties
  *     to the smaller net index).  Each gets a hop-optimal path that
  *     avoids the vertices already owned by this epoch's chains
- *     (route/path_search.h), biased toward vertices whose occupant
- *     still has a pending op with one of the net's endpoints, since
- *     walking through them absorbs extra nets for free.  A net with
- *     no such path waits for the next epoch instead of detouring.
+ *     (route/path_search.h).  A net with no such path waits for the
+ *     next epoch instead of detouring.
  *     The result is a maximal vertex-disjoint set of hop-optimal
  *     chains.
  *  3. Execute: each chain walks both endpoints toward the middle of

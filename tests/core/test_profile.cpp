@@ -70,6 +70,23 @@ TEST(Profile, DisabledCollectsNothing)
     EXPECT_EQ(profile::report(), "");
 }
 
+TEST(Profile, AddCountsManyEventsAtOnce)
+{
+    ProfileSandbox sandbox;
+    profile::add("n.events", 5);
+    EXPECT_TRUE(profile::snapshot().empty());  // disabled: no-op
+
+    profile::setEnabled(true);
+    profile::add("n.events", 3);
+    profile::add("n.events", 4);
+    profile::add("n.none", 0);
+    auto stats = profile::snapshot();
+    EXPECT_EQ(callsOf(stats, "n.events"), 7u);
+    EXPECT_DOUBLE_EQ(secondsOf(stats, "n.events"), 0.0);
+    EXPECT_EQ(callsOf(stats, "n.none"), 0u);
+    EXPECT_DOUBLE_EQ(secondsOf(stats, "n.none"), 0.0);  // listed
+}
+
 TEST(Profile, RecordAggregatesCallsAndSeconds)
 {
     ProfileSandbox sandbox;

@@ -5,13 +5,41 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <vector>
 
+#include "device/devices.h"
 #include "graph/coloring.h"
 #include "graph/graph.h"
 #include "graph/random_graph.h"
 
 using namespace tqan::graph;
+
+namespace {
+
+/** All-pairs hop distances by Floyd-Warshall, the algorithm the paper
+ * names for the QAP distance matrix: the O(n^3) reference the
+ * per-source BFS of device::Topology must reproduce.  Unreachable
+ * pairs get the sentinel numNodes (> any real distance). */
+std::vector<std::vector<int>>
+floydWarshall(const Graph &g)
+{
+    int n = g.numNodes();
+    const int inf = n;
+    std::vector<std::vector<int>> d(n, std::vector<int>(n, inf));
+    for (int i = 0; i < n; ++i)
+        d[i][i] = 0;
+    for (const auto &[u, v] : g.edges())
+        d[u][v] = d[v][u] = 1;
+    for (int k = 0; k < n; ++k)
+        for (int i = 0; i < n; ++i)
+            for (int j = 0; j < n; ++j)
+                d[i][j] = std::min(d[i][j], d[i][k] + d[k][j]);
+    return d;
+}
+
+} // namespace
 
 TEST(Graph, BasicConstruction)
 {
@@ -59,6 +87,25 @@ TEST(Graph, FloydWarshallMatchesBfs)
             }
         }
     }
+}
+
+TEST(Graph, TopologyDistancesMatchFloydWarshall)
+{
+    std::vector<tqan::device::Topology> topos = {
+        tqan::device::deviceByName("grid:20x20"),
+        tqan::device::deviceByName("heavyhex:11"),
+        tqan::device::sycamore54(),
+        tqan::device::montreal27(),
+    };
+    std::mt19937_64 rng(17);
+    while (topos.size() < 10) {
+        Graph g = erdosRenyi(40, 0.08, rng);
+        if (g.isConnected())
+            topos.emplace_back("er40", g);
+    }
+    for (const auto &t : topos)
+        EXPECT_EQ(t.distMatrix(), floydWarshall(t.coupling()))
+            << t.name();
 }
 
 TEST(Coloring, PathNeedsTwoColors)

@@ -2,17 +2,20 @@
  * @file
  * Property tests of the Taillard-style memoized tabu kernel.
  *
- * Three guarantees are pinned here:
+ * Four guarantees are pinned here:
  *  1. the incremental DeltaTable always matches a brute-force
  *     costOf-style recomputation after every applied move (both the
- *     integral O(1)-correction path and the re-evaluation path);
+ *     integral O(1)-correction path and the re-evaluation path), and
+ *     every row bound stays at or below every entry of its row;
  *  2. the memoized kernel produces placements bit-identical to the
  *     pre-memoization rescanning kernel (reproduced verbatim below)
  *     for the same seeds — the contract that keeps the golden sweep
  *     frozen;
  *  3. tiny devices (2-4 qubits) and adversarial tenure multipliers
  *     cannot produce an inverted tenure distribution (UB before the
- *     clamp).
+ *     clamp);
+ *  4. the search publishes its algorithm counters (iterations, rows
+ *     scanned and skipped, aspirations) to core/profile.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +24,9 @@
 #include <numeric>
 #include <random>
 
+#include "core/profile.h"
 #include "device/devices.h"
+#include "graph/random_graph.h"
 #include "device/noise_map.h"
 #include "ham/models.h"
 #include "qap/tabu.h"
@@ -159,6 +164,19 @@ referenceTabu(const linalg::FlatMatrix &flow,
     return Placement(best_perm.begin(), best_perm.begin() + n);
 }
 
+/** Every row bound must sit at or below every entry of its row: the
+ * scan skips a row on the bound alone. */
+void
+expectRowBoundsHold(const DeltaTable &dt, int step)
+{
+    int n = dt.facilities(), nloc = dt.locations();
+    for (int a = 0; a < n; ++a)
+        for (int b = a + 1; b < nloc; ++b)
+            ASSERT_LE(dt.rowBound(a), dt.delta(a, b))
+                << "row " << a << " column " << b << " after move "
+                << step;
+}
+
 /** Drive a DeltaTable through `moves` random exchanges, checking it
  * against brute force and fresh evaluation after every one. */
 void
@@ -174,6 +192,7 @@ checkDeltaTable(const linalg::FlatMatrix &flow,
     DeltaTable dt(flow, dist);
     EXPECT_EQ(dt.exactArithmetic(), expectExact);
     dt.reset(perm);
+    expectRowBoundsHold(dt, -1);
 
     std::uniform_int_distribution<int> pickA(0, n - 1);
     std::uniform_int_distribution<int> pickB(0, nloc - 1);
@@ -201,6 +220,7 @@ checkDeltaTable(const linalg::FlatMatrix &flow,
                 ASSERT_EQ(dt.delta(a, b), dt.evaluate(perm, a, b))
                     << "entry (" << a << "," << b << ") after move "
                     << step << " (" << u << "," << v << ")";
+        expectRowBoundsHold(dt, step);
     }
 }
 
@@ -217,6 +237,15 @@ TEST(DeltaTable, MatchesBruteForceOnIntegralInstances)
         checkDeltaTable(flow, dist, rng, 40,
                         /*expectExact=*/true);
     }
+    // The flows the compiler actually builds: bounded-degree
+    // interaction counts at a size where dummies are a minority.
+    auto heis = flowMatrix(ham::nnnHeisenberg(60, rng));
+    checkDeltaTable(heis, hopDistanceMatrix(device::grid(8, 8)), rng,
+                    60, /*expectExact=*/true);
+    auto qaoa = flowMatrix(
+        ham::qaoaLayer(graph::randomRegularGraph(40, 3, rng), 0.3, 0.7));
+    checkDeltaTable(qaoa, hopDistanceMatrix(device::heavyHex(5)), rng,
+                    60, /*expectExact=*/true);
 }
 
 TEST(DeltaTable, MatchesBruteForceOnNoiseAwareDistances)
@@ -290,6 +319,42 @@ TEST_P(TabuBitIdentity, MatchesReferenceKernelOnNoiseAware)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TabuBitIdentity,
                          ::testing::Range(0, 4));
+
+TEST(TabuBitIdentity, MatchesReferenceKernelOnLargeSparseFlows)
+{
+    // The row-bound skip fires on most rows only once n reaches the
+    // hundreds: 3-regular QAOA and NNN Heisenberg at n = 100, the
+    // smallest lattice_stream sizes.  maxIters is capped so the
+    // reference kernel stays fast.
+    TabuOptions opt;
+    opt.maxIters = 1000;
+    std::mt19937_64 gen(4100);
+    struct Case
+    {
+        const char *what;
+        linalg::FlatMatrix flow;
+        device::Topology topo;
+    };
+    Case cases[] = {
+        {"qaoa3 n=100",
+         flowMatrix(ham::qaoaLayer(graph::randomRegularGraph(100, 3, gen),
+                                   0.3, 0.7)),
+         device::grid(11, 11)},
+        {"heis n=100", flowMatrix(ham::nnnHeisenberg(100, gen)),
+         device::heavyHex(7)},
+    };
+    for (auto &c : cases) {
+        auto dist = hopDistanceMatrix(c.topo);
+        for (int trial = 0; trial < 2; ++trial) {
+            std::uint64_t seed = gen();
+            std::mt19937_64 r1(seed), r2(seed);
+            EXPECT_EQ(tabuSearchQapMatrix(c.flow, dist, r1, opt),
+                      referenceTabu(c.flow, dist, r2, opt))
+                << c.what << " on " << c.topo.name() << " seed "
+                << seed;
+        }
+    }
+}
 
 TEST(TabuBitIdentity, AsymmetricFlowFallsBackToRescan)
 {
@@ -425,4 +490,54 @@ TEST(TabuTinyDevices, BestOfTabuOnTwoQubitDevice)
         flow, hopDistanceMatrix(device::line(2)), 7, 3,
         TabuOptions(), 2);
     EXPECT_TRUE(placementIsValid(p, 2));
+}
+
+namespace {
+
+std::uint64_t
+counterOf(const std::vector<core::profile::ScopeStats> &stats,
+          const std::string &name)
+{
+    for (const auto &s : stats)
+        if (s.name == name)
+            return s.calls;
+    return 0;
+}
+
+} // namespace
+
+TEST(TabuCounters, PublishedOncePerSearch)
+{
+    core::profile::setEnabled(false);
+    core::profile::reset();
+
+    std::mt19937_64 gen(515);
+    auto flow = flowMatrix(ham::nnnHeisenberg(100, gen));
+    auto dist = hopDistanceMatrix(device::heavyHex(7));
+    TabuOptions opt;
+    opt.maxIters = 200;
+
+    // Disabled: the search records nothing.
+    std::mt19937_64 r0(9);
+    Placement quiet = tabuSearchQapMatrix(flow, dist, r0, opt);
+    EXPECT_TRUE(core::profile::snapshot().empty());
+
+    core::profile::setEnabled(true);
+    std::mt19937_64 r1(9);
+    Placement counted = tabuSearchQapMatrix(flow, dist, r1, opt);
+    auto stats = core::profile::snapshot();
+    core::profile::setEnabled(false);
+    core::profile::reset();
+
+    EXPECT_EQ(counted, quiet);  // counting never steers the search
+    std::uint64_t iters = counterOf(stats, "qap.tabu.iters");
+    std::uint64_t scanned = counterOf(stats, "qap.tabu.rows_scanned");
+    std::uint64_t skipped = counterOf(stats, "qap.tabu.rows_skipped");
+    EXPECT_GT(iters, 0u);
+    EXPECT_LE(iters, static_cast<std::uint64_t>(opt.maxIters));
+    // Every iteration visits each of the n facility rows once, and
+    // either scans it or skips it on its bound.
+    EXPECT_EQ(scanned + skipped, iters * flow.rows());
+    EXPECT_GT(skipped, 0u);
+    EXPECT_LE(counterOf(stats, "qap.tabu.aspirations"), iters);
 }

@@ -13,7 +13,9 @@
 
 #include <algorithm>
 #include <map>
+#include <limits>
 #include <numeric>
+#include <queue>
 #include <random>
 
 #include "core/backend.h"
@@ -29,6 +31,7 @@
 #include "ham/trotter.h"
 #include "qap/qap.h"
 #include "qcir/qasm.h"
+#include "route/path_search.h"
 #include "testgen/scenario.h"
 
 using namespace tqan;
@@ -60,7 +63,89 @@ routeWith(const std::string &router, const qcir::Circuit &step,
     return core::routerByName(router).route(req);
 }
 
+/** Unit-cost Dijkstra on the shortest-path DAG toward t, queue
+ * ordered by (cost, vertex id), entering t for free: the reference
+ * the level-BFS pathConstrained must reproduce path for path (with a
+ * uniform bias it is the search the pinned rrr QASM came from). */
+std::vector<int>
+referencePath(const device::Topology &topo, int s, int t,
+              const std::vector<char> &blocked)
+{
+    if (blocked[s] || blocked[t])
+        return {};
+    const int n = topo.numQubits();
+    const double inf = std::numeric_limits<double>::infinity();
+    std::vector<double> d(n, inf);
+    std::vector<int> prev(n, -1);
+    std::vector<char> done(n, 0);
+    using Entry = std::pair<double, int>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
+        pq;
+    d[s] = 0.0;
+    pq.push({0.0, s});
+    while (!pq.empty()) {
+        auto [dc, u] = pq.top();
+        pq.pop();
+        if (done[u])
+            continue;
+        done[u] = 1;
+        if (u == t)
+            break;
+        for (int v : topo.neighbors(u)) {
+            if (done[v] || blocked[v])
+                continue;
+            if (topo.dist(v, t) != topo.dist(u, t) - 1)
+                continue;
+            double nd = dc + (v == t ? 0.0 : 1.0);
+            if (nd < d[v] || (nd == d[v] && u < prev[v])) {
+                d[v] = nd;
+                prev[v] = u;
+                pq.push({nd, v});
+            }
+        }
+    }
+    if (d[t] == inf)
+        return {};
+    std::vector<int> path;
+    for (int v = t; v != -1; v = prev[v])
+        path.push_back(v);
+    std::reverse(path.begin(), path.end());
+    return path;
+}
+
 } // namespace
+
+TEST(RrrPathSearch, MatchesUnitCostDijkstraUnderRandomMasks)
+{
+    std::mt19937_64 rng(808);
+    const device::Topology topos[] = {
+        device::deviceByName("grid:9x9"),
+        device::deviceByName("heavyhex:5"),
+        device::sycamore54(),
+    };
+    int found = 0, empty = 0;
+    for (const auto &topo : topos) {
+        int nq = topo.numQubits();
+        std::uniform_int_distribution<int> pick(0, nq - 1);
+        for (int trial = 0; trial < 400; ++trial) {
+            // Masks from empty to a third of the device blocked.
+            std::bernoulli_distribution coin((trial % 4) / 9.0);
+            std::vector<char> blocked(nq, 0);
+            for (auto &b : blocked)
+                b = coin(rng);
+            int s = pick(rng), t = pick(rng);
+            if (s == t)
+                continue;
+            auto p = route::pathConstrained(topo, s, t, blocked);
+            ASSERT_EQ(p, referencePath(topo, s, t, blocked))
+                << topo.name() << " " << s << "->" << t;
+            (p.empty() ? empty : found)++;
+        }
+    }
+    // Both outcomes are exercised.
+    EXPECT_GT(found, 100);
+    EXPECT_GT(empty, 100);
+}
 
 TEST(Rrr, ConvergesOnAdversarialDenseGraphs)
 {
