@@ -1,6 +1,5 @@
 #include "core/metrics.h"
 
-#include "decomp/native_count.h"
 #include "decomp/pass.h"
 
 namespace tqan {
@@ -8,17 +7,25 @@ namespace core {
 
 namespace {
 
+/** Fill the gate counts of `mapped` and of the NoMap schedule of
+ * `step`; one counter serves both, so a block shared between them is
+ * classified once. */
 void
-fillNoMap(CompilationMetrics &m, const qcir::Circuit &step,
-          device::GateSet gs)
+fillCounts(CompilationMetrics &m, const qcir::Circuit &mapped,
+           const qcir::Circuit &step, device::GateSet gs)
 {
-    qcir::Circuit unified = qcir::unifySamePairInteractions(step);
-    ScheduleResult nomap = scheduleNoMap(unified);
-    qcir::Circuit expanded =
-        decomp::expandForMetrics(nomap.deviceCircuit, gs);
-    m.native2qNoMap = expanded.twoQubitCount();
-    m.depth2qNoMap = expanded.twoQubitDepth();
-    m.depthAllNoMap = expanded.depth();
+    decomp::NativeCounter native(gs);
+    decomp::ExpansionCounts c = decomp::countExpansion(mapped, native);
+    m.native2q = c.twoQubitCount;
+    m.depth2q = c.twoQubitDepth;
+    m.depthAll = c.depth;
+
+    ScheduleResult nomap =
+        scheduleNoMap(qcir::unifySamePairInteractions(step));
+    c = decomp::countExpansion(nomap.deviceCircuit, native);
+    m.native2qNoMap = c.twoQubitCount;
+    m.depth2qNoMap = c.twoQubitDepth;
+    m.depthAllNoMap = c.depth;
 }
 
 } // namespace
@@ -30,12 +37,7 @@ computeMetrics(const ScheduleResult &sched, const qcir::Circuit &step,
     CompilationMetrics m;
     m.swaps = sched.swapCount;
     m.dressed = sched.dressedCount;
-    qcir::Circuit expanded =
-        decomp::expandForMetrics(sched.deviceCircuit, gs);
-    m.native2q = expanded.twoQubitCount();
-    m.depth2q = expanded.twoQubitDepth();
-    m.depthAll = expanded.depth();
-    fillNoMap(m, step, gs);
+    fillCounts(m, sched.deviceCircuit, step, gs);
     return m;
 }
 
@@ -47,11 +49,7 @@ computeCircuitMetrics(const qcir::Circuit &mapped,
     m.swaps = mapped.countKind(qcir::OpKind::Swap) +
               mapped.countKind(qcir::OpKind::DressedSwap);
     m.dressed = mapped.countKind(qcir::OpKind::DressedSwap);
-    qcir::Circuit expanded = decomp::expandForMetrics(mapped, gs);
-    m.native2q = expanded.twoQubitCount();
-    m.depth2q = expanded.twoQubitDepth();
-    m.depthAll = expanded.depth();
-    fillNoMap(m, step, gs);
+    fillCounts(m, mapped, step, gs);
     return m;
 }
 

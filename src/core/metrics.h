@@ -3,6 +3,24 @@
  * Compilation metrics (paper Sec. IV, "Metrics"): inserted SWAPs,
  * hardware two-qubit gate count, two-qubit depth, all-gate depth, and
  * overheads against the connectivity-unconstrained "NoMap" baseline.
+ *
+ * The counts are those of decomp::expandForMetrics() -- every
+ * two-qubit block replaced by its minimal number of native gates,
+ * with single-qubit layers around and between them and adjacent
+ * single-qubit ops merged -- but no expanded circuit is built.
+ * decomp::countExpansion() streams over the block circuit once:
+ *
+ *  - each wire keeps a level, a two-qubit level and whether its last
+ *    op was single-qubit;
+ *  - a 1q op raises its wire's level by one unless the wire's last op
+ *    was 1q too (the merge);
+ *  - a block with native count k acts as a 1q op on each wire, then
+ *    k times a native gate (both levels and both two-qubit levels go
+ *    to their max plus one) followed by a 1q op on each wire.
+ *
+ * The native count k comes from one gamma-invariant classification
+ * per distinct block (decomp::NativeCounter), shared by the mapped
+ * circuit and its NoMap schedule.
  */
 
 #ifndef TQAN_CORE_METRICS_H

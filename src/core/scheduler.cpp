@@ -48,20 +48,30 @@ ScheduleResult
 scheduleNoMap(const Circuit &circuit)
 {
     int n = circuit.numQubits();
-    // Conflict graph over two-qubit ops.
     std::vector<int> twoq;
     for (int i = 0; i < circuit.size(); ++i)
         if (circuit.op(i).isTwoQubit())
             twoq.push_back(i);
-    graph::Graph conflict(static_cast<int>(twoq.size()));
-    for (size_t a = 0; a < twoq.size(); ++a) {
-        for (size_t b = a + 1; b < twoq.size(); ++b) {
-            const auto &oa = circuit.op(twoq[a]);
-            const auto &ob = circuit.op(twoq[b]);
-            if (oa.touches(ob.q0) || oa.touches(ob.q1))
-                conflict.addEdge(static_cast<int>(a),
-                                 static_cast<int>(b));
-        }
+    const int m = static_cast<int>(twoq.size());
+
+    // Conflict graph over two-qubit ops, from per-qubit op lists: the
+    // neighbors of op a are the other ops on its qubit u, plus those
+    // on its qubit v that do not also touch u (already listed).
+    std::vector<std::vector<int>> on_qubit(n);
+    for (int a = 0; a < m; ++a) {
+        const Op &o = circuit.op(twoq[a]);
+        on_qubit[o.q0].push_back(a);
+        on_qubit[o.q1].push_back(a);
+    }
+    std::vector<std::vector<int>> conflict(m);
+    for (int a = 0; a < m; ++a) {
+        const Op &o = circuit.op(twoq[a]);
+        for (int b : on_qubit[o.q0])
+            if (b != a)
+                conflict[a].push_back(b);
+        for (int b : on_qubit[o.q1])
+            if (b != a && !circuit.op(twoq[b]).touches(o.q0))
+                conflict[a].push_back(b);
     }
     auto color = graph::greedyColoring(conflict);
     int ncolors = graph::numColors(color);
@@ -71,12 +81,14 @@ scheduleNoMap(const Circuit &circuit)
     res.initialMap = qap::identityPlacement(n);
     res.finalMap = res.initialMap;
     res.cycles.resize(std::max(0, ncolors));
+    // Color-major, op order within a color.
+    std::vector<std::vector<int>> by_color(res.cycles.size());
+    for (int a = 0; a < m; ++a)
+        by_color[color[a]].push_back(a);
     for (int c = 0; c < ncolors; ++c) {
-        for (size_t a = 0; a < twoq.size(); ++a) {
-            if (color[a] == c) {
-                res.deviceCircuit.add(circuit.op(twoq[a]));
-                res.cycles[c].push_back(res.deviceCircuit.size() - 1);
-            }
+        for (int a : by_color[c]) {
+            res.deviceCircuit.add(circuit.op(twoq[a]));
+            res.cycles[c].push_back(res.deviceCircuit.size() - 1);
         }
     }
     appendOneQubitOps(circuit, res.initialMap, res);

@@ -1,6 +1,7 @@
 #include "decomp/native_count.h"
 
-#include "decomp/weyl.h"
+#include <array>
+#include <cstring>
 
 namespace tqan {
 namespace decomp {
@@ -9,30 +10,36 @@ using device::GateSet;
 using linalg::Mat4;
 
 int
-nativeCount(const Mat4 &u, GateSet gs)
+nativeCount(const GammaData &d, GateSet gs)
 {
     switch (gs) {
       case GateSet::Cnot:
       case GateSet::Cz:
-        return cnotCount(u);
+        return cnotCount(d);
       case GateSet::ISwap:
-        if (isLocalClass(u))
+        if (isLocalClass(d))
             return 0;
-        if (isIswapClass(u))
+        if (isIswapClass(d))
             return 1;
-        if (hasZeroCz(u))
+        if (hasZeroCz(d))
             return 2;
         return 3;
       case GateSet::Syc:
-        if (isLocalClass(u))
+        if (isLocalClass(d))
             return 0;
-        if (isSycClass(u))
+        if (isSycClass(d))
             return 1;
-        if (hasZeroCz(u))
+        if (hasZeroCz(d))
             return 2;
         return 3;
     }
     return 3;
+}
+
+int
+nativeCount(const Mat4 &u, GateSet gs)
+{
+    return nativeCount(gammaData(u), gs);
 }
 
 int
@@ -62,6 +69,78 @@ nativeCountOp(const qcir::Op &op, GateSet gs)
         break;
     }
     return nativeCount(op.unitary4(), gs);
+}
+
+namespace {
+
+/** Slot of a fixed-matrix kind in the per-gate-set table, or -1. */
+int
+fixedSlot(qcir::OpKind k)
+{
+    switch (k) {
+      case qcir::OpKind::Swap: return 0;
+      case qcir::OpKind::Cnot: return 1;
+      case qcir::OpKind::Cz: return 2;
+      case qcir::OpKind::ISwap: return 3;
+      case qcir::OpKind::Syc: return 4;
+      default: return -1;
+    }
+}
+
+/** nativeCountOp() of every fixed-matrix kind in every gate set:
+ * these unitaries do not depend on the op's qubits or parameters. */
+const std::array<std::array<int, 5>, 4> &
+fixedCounts()
+{
+    static const std::array<std::array<int, 5>, 4> table = [] {
+        const qcir::Op ops[5] = {
+            qcir::Op::swap(0, 1), qcir::Op::cnot(0, 1), qcir::Op::cz(0, 1),
+            qcir::Op::iswap(0, 1), qcir::Op::syc(0, 1)};
+        std::array<std::array<int, 5>, 4> t{};
+        for (int g = 0; g < 4; ++g)
+            for (int k = 0; k < 5; ++k)
+                t[g][k] = nativeCountOp(ops[k], static_cast<GateSet>(g));
+        return t;
+    }();
+    return table;
+}
+
+std::uint64_t
+bitsOf(double x)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+} // namespace
+
+std::size_t
+NativeCounter::KeyHash::operator()(const Key &k) const
+{
+    std::uint64_t h = k.dressed ? 0x9e3779b97f4a7c15ULL : 0;
+    for (std::uint64_t b : k.bits)
+        h = (h ^ b) * 0x100000001b3ULL + (h >> 29);
+    return static_cast<std::size_t>(h);
+}
+
+int
+NativeCounter::count(const qcir::Op &op)
+{
+    int slot = fixedSlot(op.kind);
+    if (slot >= 0)
+        return fixedCounts()[static_cast<int>(gs_)][slot];
+    if (op.kind != qcir::OpKind::Interact &&
+        op.kind != qcir::OpKind::DressedSwap)
+        return nativeCountOp(op, gs_);
+    Key key{{bitsOf(op.axx), bitsOf(op.ayy), bitsOf(op.azz)},
+            op.kind == qcir::OpKind::DressedSwap};
+    auto it = memo_.find(key);
+    if (it != memo_.end())
+        return it->second;
+    int k = nativeCountOp(op, gs_);
+    memo_.emplace(key, k);
+    return k;
 }
 
 int

@@ -1,5 +1,6 @@
 #include "decomp/pass.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -227,6 +228,42 @@ expandForMetrics(const Circuit &c, GateSet gs)
         }
     }
     return mergeAdjacent1q(out);
+}
+
+ExpansionCounts
+countExpansion(const Circuit &c, NativeCounter &native)
+{
+    const int n = c.numQubits();
+    std::vector<int> level(n, 0), level2q(n, 0);
+    std::vector<char> after1q(n, 0);
+    ExpansionCounts r;
+    auto oneQubit = [&](int q) {
+        if (after1q[q])
+            return;
+        after1q[q] = 1;
+        r.depth = std::max(r.depth, ++level[q]);
+    };
+    for (const auto &op : c.ops()) {
+        if (!op.isTwoQubit()) {
+            oneQubit(op.q0);
+            continue;
+        }
+        const int a = op.q0, b = op.q1;
+        const int k = native.count(op);
+        r.twoQubitCount += k;
+        oneQubit(a);
+        oneQubit(b);
+        for (int i = 0; i < k; ++i) {
+            level[a] = level[b] = std::max(level[a], level[b]) + 1;
+            level2q[a] = level2q[b] =
+                std::max(level2q[a], level2q[b]) + 1;
+            r.twoQubitDepth = std::max(r.twoQubitDepth, level2q[a]);
+            after1q[a] = after1q[b] = 0;
+            oneQubit(a);
+            oneQubit(b);
+        }
+    }
+    return r;
 }
 
 Circuit

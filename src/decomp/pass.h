@@ -19,7 +19,12 @@
  *    gate set: each two-qubit op becomes its minimal number of native
  *    gates with interleaved single-qubit layers, giving faithful
  *    hardware gate-count and depth metrics (the quantities plotted in
- *    the paper's figures).
+ *    the paper's figures).  countExpansion() reads the same three
+ *    numbers off the block circuit in one streaming pass, without
+ *    building the expansion; the compile metrics use it, and
+ *    expandForMetrics stays for the ESP tally, which needs the gates
+ *    themselves, and as the reference the counting pass is tested
+ *    against.
  *
  * Peephole helpers shared with the baselines (adjacent-CNOT
  * cancellation, adjacent-1q merging, adjacent same-pair 2q merging)
@@ -29,6 +34,7 @@
 #ifndef TQAN_DECOMP_PASS_H
 #define TQAN_DECOMP_PASS_H
 
+#include "decomp/native_count.h"
 #include "device/topology.h"
 #include "qcir/circuit.h"
 
@@ -50,6 +56,27 @@ qcir::Circuit decomposeToCz(const qcir::Circuit &c);
  */
 qcir::Circuit expandForMetrics(const qcir::Circuit &c,
                                device::GateSet gs);
+
+/** The metrics of an expandForMetrics() circuit. */
+struct ExpansionCounts
+{
+    int twoQubitCount = 0;  ///< native two-qubit gates
+    int twoQubitDepth = 0;  ///< ASAP depth over those gates
+    int depth = 0;          ///< ASAP depth over every gate
+};
+
+/**
+ * expandForMetrics(c, gs) followed by twoQubitCount(),
+ * twoQubitDepth() and depth(), in one pass over `c` that builds no
+ * circuit.  Each wire keeps a level, a two-qubit level and whether
+ * its last op was single-qubit.  A 1q op raises its wire's level by
+ * one unless the last op there was 1q too (mergeAdjacent1q would
+ * fold it in).  A two-qubit block of native count k acts as a 1q op
+ * on each wire, then k times a native gate followed by a 1q op on
+ * each wire.  `native` counts in the gate set gs.
+ */
+ExpansionCounts countExpansion(const qcir::Circuit &c,
+                               NativeCounter &native);
 
 /** @name Peephole passes. @{ */
 /** Remove pairs of adjacent identical CNOTs (also used by the

@@ -33,16 +33,6 @@ gammaInvariant(const Mat4 &su4)
     return su4 * yy * su4.transpose() * yy;
 }
 
-namespace {
-
-struct GammaData
-{
-    Cx tr;        ///< tr gamma (defined up to sign)
-    Cx tr2;       ///< tr gamma^2 (unambiguous)
-    double sq_id; ///< || gamma^2 - I ||_F
-    double sq_mi; ///< || gamma^2 + I ||_F
-};
-
 GammaData
 gammaData(const Mat4 &u)
 {
@@ -56,46 +46,39 @@ gammaData(const Mat4 &u)
     return d;
 }
 
-} // namespace
-
 bool
-isLocalClass(const Mat4 &u, double tol)
+isLocalClass(const GammaData &d, double tol)
 {
-    GammaData d = gammaData(u);
     return std::min(std::abs(d.tr - 4.0), std::abs(d.tr + 4.0)) < tol;
 }
 
 bool
-isCnotClass(const Mat4 &u, double tol)
+isCnotClass(const GammaData &d, double tol)
 {
-    GammaData d = gammaData(u);
     return std::abs(d.tr) < tol && d.sq_mi < tol;
 }
 
 bool
-isIswapClass(const Mat4 &u, double tol)
+isIswapClass(const GammaData &d, double tol)
 {
-    GammaData d = gammaData(u);
     return std::abs(d.tr) < tol && d.sq_id < tol;
 }
 
 bool
-isSwapClass(const Mat4 &u, double tol)
+isSwapClass(const GammaData &d, double tol)
 {
-    GammaData d = gammaData(u);
     return std::abs(std::abs(d.tr) - 4.0) < tol &&
            std::abs(d.tr.real()) < tol;
 }
 
 bool
-isSycClass(const Mat4 &u, double tol)
+isSycClass(const GammaData &d, double tol)
 {
     // SYC = fSim(pi/2, pi/6) sits at Weyl coordinates
     // (pi/4, pi/4, pi/24): the controlled-phase part contributes
     // phi/4 = pi/24 to cz.  Its gamma eigenvalues are
     // {e^{i pi/12}, e^{i pi/12}, -e^{-i pi/12}, -e^{-i pi/12}}, so
     // tr gamma = +-4i sin(pi/12) and tr gamma^2 = 4 cos(pi/6).
-    GammaData d = gammaData(u);
     const double s = 4.0 * std::sin(M_PI / 12.0);
     bool tr_ok = std::min(std::abs(d.tr - Cx(0.0, s)),
                           std::abs(d.tr + Cx(0.0, s))) < tol;
@@ -104,23 +87,63 @@ isSycClass(const Mat4 &u, double tol)
 }
 
 bool
+hasZeroCz(const GammaData &d, double tol)
+{
+    return std::abs(d.tr.imag()) < tol;
+}
+
+int
+cnotCount(const GammaData &d, double tol)
+{
+    if (isLocalClass(d, tol))
+        return 0;
+    if (isCnotClass(d, tol))
+        return 1;
+    if (hasZeroCz(d, tol))
+        return 2;
+    return 3;
+}
+
+bool
+isLocalClass(const Mat4 &u, double tol)
+{
+    return isLocalClass(gammaData(u), tol);
+}
+
+bool
+isCnotClass(const Mat4 &u, double tol)
+{
+    return isCnotClass(gammaData(u), tol);
+}
+
+bool
+isIswapClass(const Mat4 &u, double tol)
+{
+    return isIswapClass(gammaData(u), tol);
+}
+
+bool
+isSwapClass(const Mat4 &u, double tol)
+{
+    return isSwapClass(gammaData(u), tol);
+}
+
+bool
+isSycClass(const Mat4 &u, double tol)
+{
+    return isSycClass(gammaData(u), tol);
+}
+
+bool
 hasZeroCz(const Mat4 &u, double tol)
 {
-    GammaData d = gammaData(u);
-    return std::abs(d.tr.imag()) < tol;
+    return hasZeroCz(gammaData(u), tol);
 }
 
 int
 cnotCount(const Mat4 &u, double tol)
 {
-    GammaData d = gammaData(u);
-    if (std::min(std::abs(d.tr - 4.0), std::abs(d.tr + 4.0)) < tol)
-        return 0;
-    if (std::abs(d.tr) < tol && d.sq_mi < tol)
-        return 1;
-    if (std::abs(d.tr.imag()) < tol)
-        return 2;
-    return 3;
+    return cnotCount(gammaData(u), tol);
 }
 
 WeylCoordinates

@@ -59,7 +59,34 @@ struct WeylCoordinates
 
 WeylCoordinates weylCoordinates(const linalg::Mat4 &u);
 
-/** @name Local-class predicates used by the native-gate counters. @{ */
+/**
+ * The quantities every class test below reads, all from one
+ * gamma(U): tr gamma, tr gamma^2, ||gamma^2 - I||_F and
+ * ||gamma^2 + I||_F.  Classifying a unitary against several classes
+ * from one GammaData gives bit-for-bit the answers of the per-class
+ * Mat4 overloads, each of which recomputes it.
+ */
+struct GammaData
+{
+    linalg::Cx tr;  ///< tr gamma (defined up to sign)
+    linalg::Cx tr2; ///< tr gamma^2 (unambiguous)
+    double sq_id;   ///< || gamma^2 - I ||_F
+    double sq_mi;   ///< || gamma^2 + I ||_F
+};
+
+GammaData gammaData(const linalg::Mat4 &u);
+
+/** cnotCount() on a precomputed gamma. */
+int cnotCount(const GammaData &d, double tol = 1e-9);
+
+/** @name Local-class predicates used by the native-gate counters.
+ * Each has a Mat4 form and a form on a precomputed gamma. @{ */
+bool isLocalClass(const GammaData &d, double tol = 1e-7);
+bool isCnotClass(const GammaData &d, double tol = 1e-7);
+bool isIswapClass(const GammaData &d, double tol = 1e-7);
+bool isSwapClass(const GammaData &d, double tol = 1e-7);
+bool isSycClass(const GammaData &d, double tol = 1e-7);
+bool hasZeroCz(const GammaData &d, double tol = 1e-7);
 bool isLocalClass(const linalg::Mat4 &u, double tol = 1e-7);
 bool isCnotClass(const linalg::Mat4 &u, double tol = 1e-7);
 bool isIswapClass(const linalg::Mat4 &u, double tol = 1e-7);

@@ -45,9 +45,12 @@ class Topology
         return coupling_.neighbors(q);
     }
 
+    /** Coupled, read off the hop-distance table in O(1); false for
+     * out-of-range qubits. */
     bool connected(int p, int q) const
     {
-        return coupling_.hasEdge(p, q);
+        int n = numQubits();
+        return p >= 0 && q >= 0 && p < n && q < n && dist_[p][q] == 1;
     }
     /** Hop distance between hardware qubits. */
     int dist(int p, int q) const { return dist_[p][q]; }

@@ -7,21 +7,24 @@ namespace tqan {
 namespace graph {
 
 std::vector<int>
-greedyColoring(const Graph &g)
+greedyColoring(const std::vector<std::vector<int>> &adj)
 {
-    int n = g.numNodes();
+    int n = static_cast<int>(adj.size());
     std::vector<int> order(n);
     std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&g](int a, int b) {
-        return g.degree(a) > g.degree(b);
+    std::stable_sort(order.begin(), order.end(), [&adj](int a, int b) {
+        return adj[a].size() > adj[b].size();
     });
 
     std::vector<int> color(n, -1);
     std::vector<char> used;
     for (int v : order) {
-        used.assign(n + 1, 0);
-        for (int w : g.neighbors(v))
-            if (color[w] >= 0)
+        // d neighbours block at most d colors, so the smallest free
+        // one is at most d: colors above it need no slot.
+        const size_t d = adj[v].size();
+        used.assign(d + 1, 0);
+        for (int w : adj[v])
+            if (color[w] >= 0 && static_cast<size_t>(color[w]) <= d)
                 used[color[w]] = 1;
         int c = 0;
         while (used[c])
@@ -29,6 +32,12 @@ greedyColoring(const Graph &g)
         color[v] = c;
     }
     return color;
+}
+
+std::vector<int>
+greedyColoring(const Graph &g)
+{
+    return greedyColoring(g.adjacency());
 }
 
 int

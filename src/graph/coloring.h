@@ -26,6 +26,11 @@ namespace graph {
  */
 std::vector<int> greedyColoring(const Graph &g);
 
+/** The same coloring of a graph given as adjacency lists (no
+ * duplicate or self entries).  O(V log V + E): a node of degree d
+ * always finds a free color among 0..d. */
+std::vector<int> greedyColoring(const std::vector<std::vector<int>> &adj);
+
 /** Number of distinct colors in a coloring. */
 int numColors(const std::vector<int> &coloring);
 

@@ -32,6 +32,10 @@ class Graph
     int numEdges() const { return static_cast<int>(edges_.size()); }
     const std::vector<Edge> &edges() const { return edges_; }
     const std::vector<int> &neighbors(int v) const { return adj_[v]; }
+    const std::vector<std::vector<int>> &adjacency() const
+    {
+        return adj_;
+    }
     int degree(int v) const { return static_cast<int>(adj_[v].size()); }
 
     /** Add an undirected edge; duplicate and self edges are rejected. */

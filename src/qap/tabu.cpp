@@ -533,8 +533,8 @@ tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
     const auto scan = simd::kernels().scanBelow;
 
     // Algorithm counters, published once per search.
-    std::uint64_t iters = 0, rowsScanned = 0, rowsSkipped = 0,
-                  aspirations = 0;
+    std::uint64_t iters = 0, moves = 0, rowsScanned = 0,
+                  rowsSkipped = 0, aspirations = 0;
 
     int stall = 0;
     for (int it = 0; it < opt.maxIters && stall < opt.stallLimit;
@@ -606,6 +606,7 @@ tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
             ++stall;
             continue;
         }
+        ++moves;
         if (aspired)
             ++aspirations;
 
@@ -626,6 +627,7 @@ tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
     }
 
     core::profile::add("qap.tabu.iters", iters);
+    core::profile::add("qap.tabu.moves", moves);
     core::profile::add("qap.tabu.rows_scanned", rowsScanned);
     core::profile::add("qap.tabu.rows_skipped", rowsSkipped);
     core::profile::add("qap.tabu.aspirations", aspirations);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/profile.h"
 #include "route/path_search.h"
 
 namespace tqan {
@@ -128,7 +129,13 @@ routeDisjointChains(const qcir::Circuit &circuit,
         unrouted.swap(still);
     };
 
+    // Algorithm counters, published once per call: epochs, committed
+    // chains, and nets deferred because no hop-optimal path was clear
+    // of their epoch's chains.
+    std::uint64_t epochs = 0, chains = 0, deferred = 0;
+
     while (!unrouted.empty()) {
+        ++epochs;
         // ---- Commit: a maximal vertex-disjoint set of chains,
         // closest nets first (ties to the smaller net index).  Each
         // net gets a hop-optimal path that avoids the vertices
@@ -161,12 +168,15 @@ routeDisjointChains(const qcir::Circuit &circuit,
         for (int k : order) {
             int s = phi[op_u[k]], t = phi[op_v[k]];
             std::vector<int> p = pathConstrained(topo, s, t, taken);
-            if (p.empty())
+            if (p.empty()) {
+                ++deferred;
                 continue;
+            }
             for (int v : p)
                 taken[v] = 1;
             committed.emplace_back(k, std::move(p));
         }
+        chains += committed.size();
 
         // ---- Execute: both endpoints walk toward the middle of the
         // chain (a length-L path costs L-1 SWAPs), so the two half
@@ -227,6 +237,10 @@ routeDisjointChains(const qcir::Circuit &circuit,
             }
         }
     }
+
+    core::profile::add("route.rrr.epochs", epochs);
+    core::profile::add("route.rrr.chains", chains);
+    core::profile::add("route.rrr.deferred", deferred);
 
     // Translate op positions back to circuit indices (dressedOp was
     // already stored as a circuit index at absorb time).

@@ -52,6 +52,17 @@ TEST(Topology, RejectsDisconnected)
     EXPECT_THROW(Topology("bad", g), std::invalid_argument);
 }
 
+TEST(Topology, ConnectedMatchesCouplingEdges)
+{
+    for (const auto &t : {grid(3, 4), heavyHex(3), sycamore54()}) {
+        int n = t.numQubits();
+        for (int p = -1; p <= n; ++p)
+            for (int q = -1; q <= n; ++q)
+                EXPECT_EQ(t.connected(p, q), t.coupling().hasEdge(p, q))
+                    << t.name() << " " << p << "," << q;
+    }
+}
+
 TEST(Devices, Sycamore54)
 {
     Topology t = sycamore54();

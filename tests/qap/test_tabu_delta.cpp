@@ -539,5 +539,10 @@ TEST(TabuCounters, PublishedOncePerSearch)
     // either scans it or skips it on its bound.
     EXPECT_EQ(scanned + skipped, iters * flow.rows());
     EXPECT_GT(skipped, 0u);
-    EXPECT_LE(counterOf(stats, "qap.tabu.aspirations"), iters);
+    // An iteration accepts at most one move, and an aspiration is an
+    // accepted move.
+    std::uint64_t moves = counterOf(stats, "qap.tabu.moves");
+    EXPECT_GT(moves, 0u);
+    EXPECT_LE(moves, iters);
+    EXPECT_LE(counterOf(stats, "qap.tabu.aspirations"), moves);
 }

@@ -21,6 +21,7 @@
 #include "core/backend.h"
 #include "core/batch.h"
 #include "core/hash.h"
+#include "core/profile.h"
 #include "core/router.h"
 #include "core/router_registry.h"
 #include "core/sweep.h"
@@ -172,6 +173,48 @@ TEST(Rrr, ConvergesOnAdversarialDenseGraphs)
             }
         }
     }
+}
+
+TEST(Rrr, CountersPublishedOncePerCall)
+{
+    std::mt19937_64 gen(78);
+    auto g = graph::erdosRenyi(12, 0.9, gen);
+    auto h = ham::qaoaLayerHamiltonian(g, ham::qaoaFixedAngles(1)[0]);
+    qcir::Circuit step = ham::trotterStep(h, 1.0);
+    device::Topology topo = device::grid(4, 4);
+
+    auto counter = [](const std::vector<core::profile::ScopeStats> &st,
+                      const std::string &name) -> std::uint64_t {
+        for (const auto &s : st)
+            if (s.name == name)
+                return s.calls;
+        return 0;
+    };
+
+    core::profile::setEnabled(false);
+    core::profile::reset();
+    core::RoutingResult quiet =
+        routeWith("rrr", step, identityPlacement(12), topo, 1);
+    EXPECT_TRUE(core::profile::snapshot().empty());
+
+    core::profile::setEnabled(true);
+    core::RoutingResult counted =
+        routeWith("rrr", step, identityPlacement(12), topo, 1);
+    auto stats = core::profile::snapshot();
+    core::profile::setEnabled(false);
+    core::profile::reset();
+
+    // Counting never steers the router.
+    EXPECT_EQ(counted.maps, quiet.maps);
+    EXPECT_EQ(counted.nnOps, quiet.nnOps);
+    std::uint64_t epochs = counter(stats, "route.rrr.epochs");
+    std::uint64_t chains = counter(stats, "route.rrr.chains");
+    std::uint64_t deferred = counter(stats, "route.rrr.deferred");
+    // Every epoch commits at least one chain.
+    EXPECT_GT(epochs, 0u);
+    EXPECT_GE(chains, epochs);
+    // A dense graph on a grid contends: some net waits an epoch.
+    EXPECT_GT(deferred, 0u);
 }
 
 TEST(Rrr, ConvergesOnTestgenScenarios)
