@@ -8,21 +8,19 @@ namespace core {
 namespace {
 
 /** Fill the gate counts of `mapped` and of the NoMap schedule of
- * `step`; one counter serves both, so a block shared between them is
- * classified once. */
+ * `step`. */
 void
 fillCounts(CompilationMetrics &m, const qcir::Circuit &mapped,
            const qcir::Circuit &step, device::GateSet gs)
 {
-    decomp::NativeCounter native(gs);
-    decomp::ExpansionCounts c = decomp::countExpansion(mapped, native);
+    decomp::ExpansionCounts c = decomp::countExpansion(mapped, gs);
     m.native2q = c.twoQubitCount;
     m.depth2q = c.twoQubitDepth;
     m.depthAll = c.depth;
 
     ScheduleResult nomap =
         scheduleNoMap(qcir::unifySamePairInteractions(step));
-    c = decomp::countExpansion(nomap.deviceCircuit, native);
+    c = decomp::countExpansion(nomap.deviceCircuit, gs);
     m.native2qNoMap = c.twoQubitCount;
     m.depth2qNoMap = c.twoQubitDepth;
     m.depthAllNoMap = c.depth;

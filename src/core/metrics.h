@@ -18,9 +18,9 @@
  *    k times a native gate (both levels and both two-qubit levels go
  *    to their max plus one) followed by a 1q op on each wire.
  *
- * The native count k comes from one gamma-invariant classification
- * per distinct block (decomp::NativeCounter), shared by the mapped
- * circuit and its NoMap schedule.
+ * The native count k comes from decomp::nativeCountOp(): a table for
+ * the fixed-matrix kinds, one gamma-invariant classification for
+ * every other block.
  */
 
 #ifndef TQAN_CORE_METRICS_H

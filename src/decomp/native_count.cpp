@@ -1,7 +1,8 @@
 #include "decomp/native_count.h"
 
 #include <array>
-#include <cstring>
+
+#include "decomp/weyl.h"
 
 namespace tqan {
 namespace decomp {
@@ -10,8 +11,9 @@ using device::GateSet;
 using linalg::Mat4;
 
 int
-nativeCount(const GammaData &d, GateSet gs)
+nativeCount(const Mat4 &u, GateSet gs)
 {
+    const GammaData d = gammaData(u);
     switch (gs) {
       case GateSet::Cnot:
       case GateSet::Cz:
@@ -36,41 +38,6 @@ nativeCount(const GammaData &d, GateSet gs)
     return 3;
 }
 
-int
-nativeCount(const Mat4 &u, GateSet gs)
-{
-    return nativeCount(gammaData(u), gs);
-}
-
-int
-nativeCountOp(const qcir::Op &op, GateSet gs)
-{
-    if (!op.isTwoQubit())
-        throw std::invalid_argument("nativeCountOp: 1q op");
-    // Native gates of the target set cost exactly one.
-    switch (op.kind) {
-      case qcir::OpKind::Cnot:
-        if (gs == GateSet::Cnot)
-            return 1;
-        break;
-      case qcir::OpKind::Cz:
-        if (gs == GateSet::Cz)
-            return 1;
-        break;
-      case qcir::OpKind::ISwap:
-        if (gs == GateSet::ISwap)
-            return 1;
-        break;
-      case qcir::OpKind::Syc:
-        if (gs == GateSet::Syc)
-            return 1;
-        break;
-      default:
-        break;
-    }
-    return nativeCount(op.unitary4(), gs);
-}
-
 namespace {
 
 /** Slot of a fixed-matrix kind in the per-gate-set table, or -1. */
@@ -87,8 +54,10 @@ fixedSlot(qcir::OpKind k)
     }
 }
 
-/** nativeCountOp() of every fixed-matrix kind in every gate set:
- * these unitaries do not depend on the op's qubits or parameters. */
+/** nativeCountOp() of every fixed-matrix kind in every gate set.
+ * Slot g + 1 holds gate set g's own native gate, which costs exactly
+ * one; the other kinds cost the count of their unitary, which does
+ * not depend on the op's qubits. */
 const std::array<std::array<int, 5>, 4> &
 fixedCounts()
 {
@@ -99,48 +68,25 @@ fixedCounts()
         std::array<std::array<int, 5>, 4> t{};
         for (int g = 0; g < 4; ++g)
             for (int k = 0; k < 5; ++k)
-                t[g][k] = nativeCountOp(ops[k], static_cast<GateSet>(g));
+                t[g][k] = k == g + 1 ? 1
+                                     : nativeCount(ops[k].unitary4(),
+                                                   static_cast<GateSet>(g));
         return t;
     }();
     return table;
 }
 
-std::uint64_t
-bitsOf(double x)
-{
-    std::uint64_t b;
-    std::memcpy(&b, &x, sizeof b);
-    return b;
-}
-
 } // namespace
 
-std::size_t
-NativeCounter::KeyHash::operator()(const Key &k) const
-{
-    std::uint64_t h = k.dressed ? 0x9e3779b97f4a7c15ULL : 0;
-    for (std::uint64_t b : k.bits)
-        h = (h ^ b) * 0x100000001b3ULL + (h >> 29);
-    return static_cast<std::size_t>(h);
-}
-
 int
-NativeCounter::count(const qcir::Op &op)
+nativeCountOp(const qcir::Op &op, GateSet gs)
 {
-    int slot = fixedSlot(op.kind);
+    if (!op.isTwoQubit())
+        throw std::invalid_argument("nativeCountOp: 1q op");
+    const int slot = fixedSlot(op.kind);
     if (slot >= 0)
-        return fixedCounts()[static_cast<int>(gs_)][slot];
-    if (op.kind != qcir::OpKind::Interact &&
-        op.kind != qcir::OpKind::DressedSwap)
-        return nativeCountOp(op, gs_);
-    Key key{{bitsOf(op.axx), bitsOf(op.ayy), bitsOf(op.azz)},
-            op.kind == qcir::OpKind::DressedSwap};
-    auto it = memo_.find(key);
-    if (it != memo_.end())
-        return it->second;
-    int k = nativeCountOp(op, gs_);
-    memo_.emplace(key, k);
-    return k;
+        return fixedCounts()[static_cast<int>(gs)][slot];
+    return nativeCount(op.unitary4(), gs);
 }
 
 int

@@ -24,62 +24,23 @@
 #ifndef TQAN_DECOMP_NATIVE_COUNT_H
 #define TQAN_DECOMP_NATIVE_COUNT_H
 
-#include <cstdint>
-#include <unordered_map>
-
-#include "decomp/weyl.h"
 #include "device/topology.h"
 #include "qcir/circuit.h"
 
 namespace tqan {
 namespace decomp {
 
-/** Minimal native-gate count of an arbitrary two-qubit unitary. */
+/** Minimal native-gate count of an arbitrary two-qubit unitary,
+ * from one gamma invariant: every class test of the gate set reads
+ * the same GammaData, with tolerance 1e-9 for CNOT/CZ and 1e-7 for
+ * iSWAP/SYC. */
 int nativeCount(const linalg::Mat4 &u, device::GateSet gs);
 
-/** nativeCount() from one precomputed gamma: every class test of the
- * gate set reads the same GammaData, with the same tolerances (1e-9
- * for CNOT/CZ, 1e-7 for iSWAP/SYC). */
-int nativeCount(const GammaData &d, device::GateSet gs);
-
-/** Minimal native-gate count of a circuit op (must be two-qubit). */
+/** Minimal native-gate count of a circuit op (must be two-qubit).
+ * The fixed-matrix kinds (Swap, Cnot, Cz, ISwap, Syc) come from a
+ * table classified once per process; every other block is
+ * classified from its unitary. */
 int nativeCountOp(const qcir::Op &op, device::GateSet gs);
-
-/**
- * nativeCountOp() for one gate set, with memoisation.  The
- * fixed-matrix kinds (Swap, Cnot, Cz, ISwap, Syc) come from a table
- * classified once per process; Interact and DressedSwap blocks are
- * classified once per distinct (kind, coefficient bits) for the
- * lifetime of the counter; U2q payloads are classified every time.
- * Not thread-safe: use one counter per thread.
- */
-class NativeCounter
-{
-  public:
-    explicit NativeCounter(device::GateSet gs) : gs_(gs) {}
-
-    /** Equals nativeCountOp(op, gs) for the counter's gate set. */
-    int count(const qcir::Op &op);
-
-  private:
-    struct Key
-    {
-        std::uint64_t bits[3];
-        bool dressed;
-        bool operator==(const Key &o) const
-        {
-            return dressed == o.dressed && bits[0] == o.bits[0] &&
-                   bits[1] == o.bits[1] && bits[2] == o.bits[2];
-        }
-    };
-    struct KeyHash
-    {
-        std::size_t operator()(const Key &k) const;
-    };
-
-    device::GateSet gs_;
-    std::unordered_map<Key, int, KeyHash> memo_;
-};
 
 /** Sum of native counts over all two-qubit ops of a circuit. */
 int nativeTwoQubitCount(const qcir::Circuit &c, device::GateSet gs);

@@ -231,7 +231,7 @@ expandForMetrics(const Circuit &c, GateSet gs)
 }
 
 ExpansionCounts
-countExpansion(const Circuit &c, NativeCounter &native)
+countExpansion(const Circuit &c, GateSet gs)
 {
     const int n = c.numQubits();
     std::vector<int> level(n, 0), level2q(n, 0);
@@ -249,7 +249,7 @@ countExpansion(const Circuit &c, NativeCounter &native)
             continue;
         }
         const int a = op.q0, b = op.q1;
-        const int k = native.count(op);
+        const int k = nativeCountOp(op, gs);
         r.twoQubitCount += k;
         oneQubit(a);
         oneQubit(b);

@@ -34,7 +34,6 @@
 #ifndef TQAN_DECOMP_PASS_H
 #define TQAN_DECOMP_PASS_H
 
-#include "decomp/native_count.h"
 #include "device/topology.h"
 #include "qcir/circuit.h"
 
@@ -73,10 +72,10 @@ struct ExpansionCounts
  * one unless the last op there was 1q too (mergeAdjacent1q would
  * fold it in).  A two-qubit block of native count k acts as a 1q op
  * on each wire, then k times a native gate followed by a 1q op on
- * each wire.  `native` counts in the gate set gs.
+ * each wire.
  */
 ExpansionCounts countExpansion(const qcir::Circuit &c,
-                               NativeCounter &native);
+                               device::GateSet gs);
 
 /** @name Peephole passes. @{ */
 /** Remove pairs of adjacent identical CNOTs (also used by the

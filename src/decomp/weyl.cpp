@@ -104,48 +104,6 @@ cnotCount(const GammaData &d, double tol)
     return 3;
 }
 
-bool
-isLocalClass(const Mat4 &u, double tol)
-{
-    return isLocalClass(gammaData(u), tol);
-}
-
-bool
-isCnotClass(const Mat4 &u, double tol)
-{
-    return isCnotClass(gammaData(u), tol);
-}
-
-bool
-isIswapClass(const Mat4 &u, double tol)
-{
-    return isIswapClass(gammaData(u), tol);
-}
-
-bool
-isSwapClass(const Mat4 &u, double tol)
-{
-    return isSwapClass(gammaData(u), tol);
-}
-
-bool
-isSycClass(const Mat4 &u, double tol)
-{
-    return isSycClass(gammaData(u), tol);
-}
-
-bool
-hasZeroCz(const Mat4 &u, double tol)
-{
-    return hasZeroCz(gammaData(u), tol);
-}
-
-int
-cnotCount(const Mat4 &u, double tol)
-{
-    return cnotCount(gammaData(u), tol);
-}
-
 WeylCoordinates
 weylCoordinates(const Mat4 &u)
 {

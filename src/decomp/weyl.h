@@ -38,13 +38,6 @@ linalg::Mat4 toSU4(const linalg::Mat4 &u);
 linalg::Mat4 gammaInvariant(const linalg::Mat4 &su4);
 
 /**
- * Exact minimal CNOT count (0..3) of a two-qubit unitary, via the
- * SBM trace criteria.  The branch ambiguity of det^{1/4} only flips
- * the sign of tr gamma, which none of the tests depend on.
- */
-int cnotCount(const linalg::Mat4 &u, double tol = 1e-9);
-
-/**
  * Weyl canonical coordinates (cx, cy, cz) of U: U is locally
  * equivalent to exp(i(cx XX + cy YY + cz ZZ)) with
  * pi/4 >= cx >= cy >= |cz| and cz >= 0 unless cx = pi/4.
@@ -62,9 +55,8 @@ WeylCoordinates weylCoordinates(const linalg::Mat4 &u);
 /**
  * The quantities every class test below reads, all from one
  * gamma(U): tr gamma, tr gamma^2, ||gamma^2 - I||_F and
- * ||gamma^2 + I||_F.  Classifying a unitary against several classes
- * from one GammaData gives bit-for-bit the answers of the per-class
- * Mat4 overloads, each of which recomputes it.
+ * ||gamma^2 + I||_F.  Compute it once per unitary and classify that
+ * unitary against as many classes as needed.
  */
 struct GammaData
 {
@@ -76,24 +68,21 @@ struct GammaData
 
 GammaData gammaData(const linalg::Mat4 &u);
 
-/** cnotCount() on a precomputed gamma. */
+/**
+ * Exact minimal CNOT count (0..3) of a two-qubit unitary, via the
+ * SBM trace criteria.  The branch ambiguity of det^{1/4} only flips
+ * the sign of tr gamma, which none of the tests depend on.
+ */
 int cnotCount(const GammaData &d, double tol = 1e-9);
 
-/** @name Local-class predicates used by the native-gate counters.
- * Each has a Mat4 form and a form on a precomputed gamma. @{ */
+/** @name Local-class predicates used by the native-gate counters. @{ */
 bool isLocalClass(const GammaData &d, double tol = 1e-7);
 bool isCnotClass(const GammaData &d, double tol = 1e-7);
 bool isIswapClass(const GammaData &d, double tol = 1e-7);
 bool isSwapClass(const GammaData &d, double tol = 1e-7);
 bool isSycClass(const GammaData &d, double tol = 1e-7);
-bool hasZeroCz(const GammaData &d, double tol = 1e-7);
-bool isLocalClass(const linalg::Mat4 &u, double tol = 1e-7);
-bool isCnotClass(const linalg::Mat4 &u, double tol = 1e-7);
-bool isIswapClass(const linalg::Mat4 &u, double tol = 1e-7);
-bool isSwapClass(const linalg::Mat4 &u, double tol = 1e-7);
-bool isSycClass(const linalg::Mat4 &u, double tol = 1e-7);
 /** cz = 0: the class implementable with two CNOTs (tr gamma real). */
-bool hasZeroCz(const linalg::Mat4 &u, double tol = 1e-7);
+bool hasZeroCz(const GammaData &d, double tol = 1e-7);
 /** @} */
 
 } // namespace decomp

@@ -4,13 +4,12 @@
  * and computeCircuitMetrics must return exactly what
  * expandForMetrics followed by twoQubitCount / twoQubitDepth / depth
  * returns, and the one-gamma native classifier must answer exactly as
- * the per-predicate chain, which computes gamma once per test.
+ * the SBM and Weyl-chamber criteria written out below.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <random>
 #include <vector>
@@ -76,8 +75,7 @@ interactionOn(int axes, std::mt19937_64 &rng, double c[3])
                                        : ang(rng);
 }
 
-/** A random circuit over every op kind; coefficients repeat often so
- * the counter's memo sees hits as well as misses. */
+/** A random circuit over every op kind. */
 Circuit
 randomBlockCircuit(int n, int nops, std::mt19937_64 &rng)
 {
@@ -85,25 +83,18 @@ randomBlockCircuit(int n, int nops, std::mt19937_64 &rng)
     std::uniform_int_distribution<int> qubit(0, n - 1);
     std::uniform_int_distribution<int> kind(0, 13);
     std::uniform_real_distribution<double> ang(-M_PI, M_PI);
-    std::vector<std::array<double, 3>> seen;
     for (int i = 0; i < nops; ++i) {
         int a = qubit(rng), b = qubit(rng);
         while (b == a)
             b = qubit(rng);
         double co[3];
-        if (!seen.empty() && rng() % 3 == 0) {
-            const auto &s = seen[rng() % seen.size()];
-            co[0] = s[0];
-            co[1] = s[1];
-            co[2] = s[2];
-        } else if (rng() % 2 == 0) {
+        if (rng() % 2 == 0) {
             interactionOn(static_cast<int>(rng() % 4), rng, co);
         } else {
             co[0] = coefficient(rng);
             co[1] = coefficient(rng);
             co[2] = coefficient(rng);
         }
-        seen.push_back({co[0], co[1], co[2]});
         switch (kind(rng)) {
           case 0: c.add(Op::rx(a, ang(rng))); break;
           case 1: c.add(Op::ry(a, ang(rng))); break;
@@ -156,46 +147,59 @@ randomStep(int n, int nops, std::mt19937_64 &rng)
     return c;
 }
 
-/** The predicate chain nativeCount() used before one GammaData served
- * every test: each predicate computed gamma for itself. */
+/** The minimal native count by the SBM criteria (CNOT/CZ, tolerance
+ * 1e-9) and the iSWAP/SYC coverage rules (tolerance 1e-7), written
+ * out on gamma(U) independently of the library's predicates. */
 int
-predicateChainCount(const Mat4 &u, GateSet gs)
+referenceCount(const Mat4 &u, GateSet gs)
 {
+    Mat4 g = gammaInvariant(toSU4(u));
+    Mat4 g2 = g * g;
+    const Cx tr = g.trace();
+    const Cx tr2 = g2.trace();
+    const double sq_id = g2.distance(Mat4::identity());
+    const double sq_mi = (g2 + Mat4::identity()).frobeniusNorm();
+    const double tol = (gs == GateSet::Cnot || gs == GateSet::Cz) ? 1e-9
+                                                                  : 1e-7;
+    if (std::min(std::abs(tr - 4.0), std::abs(tr + 4.0)) < tol)
+        return 0;
     switch (gs) {
       case GateSet::Cnot:
-      case GateSet::Cz: {
-        // cnotCount()'s own inline criteria, at its 1e-9 tolerance.
-        Mat4 g = gammaInvariant(toSU4(u));
-        Mat4 g2 = g * g;
-        Cx tr = g.trace();
-        double sq_mi = (g2 + Mat4::identity()).frobeniusNorm();
-        const double tol = 1e-9;
-        if (std::min(std::abs(tr - 4.0), std::abs(tr + 4.0)) < tol)
-            return 0;
+      case GateSet::Cz:
         if (std::abs(tr) < tol && sq_mi < tol)
             return 1;
-        if (std::abs(tr.imag()) < tol)
-            return 2;
-        return 3;
-      }
+        break;
       case GateSet::ISwap:
-        if (isLocalClass(u))
-            return 0;
-        if (isIswapClass(u))
+        if (std::abs(tr) < tol && sq_id < tol)
             return 1;
-        if (hasZeroCz(u))
-            return 2;
-        return 3;
-      case GateSet::Syc:
-        if (isLocalClass(u))
-            return 0;
-        if (isSycClass(u))
+        break;
+      case GateSet::Syc: {
+        // SYC's class: tr gamma = +-4i sin(pi/12), tr gamma^2 =
+        // 4 cos(pi/6).
+        const double s = 4.0 * std::sin(M_PI / 12.0);
+        if (std::min(std::abs(tr - Cx(0.0, s)), std::abs(tr + Cx(0.0, s))) <
+                tol &&
+            std::abs(tr2 - 4.0 * std::cos(M_PI / 6.0)) < tol)
             return 1;
-        if (hasZeroCz(u))
-            return 2;
-        return 3;
+        break;
+      }
     }
+    if (std::abs(tr.imag()) < tol)
+        return 2;
     return 3;
+}
+
+/** The rule nativeCountOp()'s fixed-kind table must follow: a gate
+ * set's own native gate costs one, anything else its unitary's count. */
+int
+referenceCountOp(const Op &op, GateSet gs)
+{
+    if ((op.kind == qcir::OpKind::Cnot && gs == GateSet::Cnot) ||
+        (op.kind == qcir::OpKind::Cz && gs == GateSet::Cz) ||
+        (op.kind == qcir::OpKind::ISwap && gs == GateSet::ISwap) ||
+        (op.kind == qcir::OpKind::Syc && gs == GateSet::Syc))
+        return 1;
+    return referenceCount(op.unitary4(), gs);
 }
 
 } // namespace
@@ -205,16 +209,13 @@ TEST(Metrics, StreamedCountsMatchExpansion)
     std::mt19937_64 rng(1515);
     int checked = 0;
     for (GateSet gs : kGateSets) {
-        // One counter across all circuits of a gate set: memo hits
-        // must answer as the first classification did.
-        NativeCounter shared(gs);
         for (int rep = 0; rep < 40; ++rep) {
             int n = 2 + static_cast<int>(rng() % 7);
             Circuit c = randomBlockCircuit(n, 5 + static_cast<int>(rng() % 60),
                                            rng);
             Circuit expanded = expandForMetrics(c, gs);
 
-            ExpansionCounts got = countExpansion(c, shared);
+            ExpansionCounts got = countExpansion(c, gs);
             EXPECT_EQ(got.twoQubitCount, expanded.twoQubitCount())
                 << device::gateSetName(gs) << " rep " << rep;
             EXPECT_EQ(got.twoQubitDepth, expanded.twoQubitDepth())
@@ -222,10 +223,10 @@ TEST(Metrics, StreamedCountsMatchExpansion)
             EXPECT_EQ(got.depth, expanded.depth())
                 << device::gateSetName(gs) << " rep " << rep;
 
-            NativeCounter fresh(gs);
             for (const auto &op : c.ops())
                 if (op.isTwoQubit())
-                    ASSERT_EQ(fresh.count(op), nativeCountOp(op, gs))
+                    ASSERT_EQ(nativeCountOp(op, gs),
+                              referenceCountOp(op, gs))
                         << op.str();
 
             // The whole metrics record, NoMap half included.
@@ -252,8 +253,7 @@ TEST(Metrics, StreamedCountsMatchExpansion)
 TEST(Metrics, StreamedCountsOfEmptyAndOneQubitCircuits)
 {
     for (GateSet gs : kGateSets) {
-        NativeCounter native(gs);
-        ExpansionCounts empty = countExpansion(Circuit(3), native);
+        ExpansionCounts empty = countExpansion(Circuit(3), gs);
         EXPECT_EQ(empty.twoQubitCount, 0);
         EXPECT_EQ(empty.twoQubitDepth, 0);
         EXPECT_EQ(empty.depth, 0);
@@ -263,7 +263,7 @@ TEST(Metrics, StreamedCountsOfEmptyAndOneQubitCircuits)
         runs.add(Op::rx(0, 0.1));
         runs.add(Op::rz(0, 0.2));
         runs.add(Op::ry(1, 0.3));
-        ExpansionCounts r = countExpansion(runs, native);
+        ExpansionCounts r = countExpansion(runs, gs);
         EXPECT_EQ(r.depth, expandForMetrics(runs, gs).depth());
         EXPECT_EQ(r.depth, 1);
     }
@@ -316,17 +316,15 @@ TEST(NativeCount, SingleGammaMatchesPredicateChain)
     int checked = 0;
     int histogram[4] = {0, 0, 0, 0};
     for (const Mat4 &u : us) {
-        GammaData d = gammaData(u);
         for (GateSet gs : kGateSets) {
-            int fused = nativeCount(d, gs);
-            ASSERT_EQ(fused, predicateChainCount(u, gs))
+            int fused = nativeCount(u, gs);
+            ASSERT_EQ(fused, referenceCount(u, gs))
                 << device::gateSetName(gs) << " unitary #" << checked;
-            ASSERT_EQ(nativeCount(u, gs), fused);
             ++histogram[fused];
         }
         ++checked;
     }
-    // Every count occurs, so every branch of the chain was compared.
+    // Every count occurs, so every branch of the criteria was compared.
     for (int k = 0; k < 4; ++k)
         EXPECT_GT(histogram[k], 0) << "count " << k;
 }

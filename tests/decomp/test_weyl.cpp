@@ -37,26 +37,26 @@ dressLocal(const Mat4 &u, std::mt19937_64 &rng)
 
 TEST(CnotCount, KnownGates)
 {
-    EXPECT_EQ(cnotCount(Mat4::identity()), 0);
-    EXPECT_EQ(cnotCount(cnot(0, 1)), 1);
-    EXPECT_EQ(cnotCount(czGate()), 1);
-    EXPECT_EQ(cnotCount(iswapGate()), 2);
-    EXPECT_EQ(cnotCount(swapGate()), 3);
-    EXPECT_EQ(cnotCount(sycGate()), 3);
+    EXPECT_EQ(cnotCount(gammaData(Mat4::identity())), 0);
+    EXPECT_EQ(cnotCount(gammaData(cnot(0, 1))), 1);
+    EXPECT_EQ(cnotCount(gammaData(czGate())), 1);
+    EXPECT_EQ(cnotCount(gammaData(iswapGate())), 2);
+    EXPECT_EQ(cnotCount(gammaData(swapGate())), 3);
+    EXPECT_EQ(cnotCount(gammaData(sycGate())), 3);
 }
 
 TEST(CnotCount, InteractionOps)
 {
     // exp(i theta ZZ): 2 CNOTs for generic theta.
-    EXPECT_EQ(cnotCount(expXxYyZz(0, 0, 0.3)), 2);
+    EXPECT_EQ(cnotCount(gammaData(expXxYyZz(0, 0, 0.3))), 2);
     // theta = pi/4 is the CZ/CNOT class.
-    EXPECT_EQ(cnotCount(expXxYyZz(0, 0, M_PI / 4)), 1);
+    EXPECT_EQ(cnotCount(gammaData(expXxYyZz(0, 0, M_PI / 4))), 1);
     // theta multiple of pi/2 is local.
-    EXPECT_EQ(cnotCount(expXxYyZz(0, 0, M_PI / 2)), 0);
+    EXPECT_EQ(cnotCount(gammaData(expXxYyZz(0, 0, M_PI / 2))), 0);
     // XY-class (two axes): still 2 CNOTs.
-    EXPECT_EQ(cnotCount(expXxYyZz(0.4, 0.7, 0)), 2);
+    EXPECT_EQ(cnotCount(gammaData(expXxYyZz(0.4, 0.7, 0))), 2);
     // Heisenberg (three axes): 3 CNOTs.
-    EXPECT_EQ(cnotCount(expXxYyZz(0.4, 0.7, 0.2)), 3);
+    EXPECT_EQ(cnotCount(gammaData(expXxYyZz(0.4, 0.7, 0.2))), 3);
 }
 
 TEST(CnotCount, InvariantUnderLocals)
@@ -67,36 +67,38 @@ TEST(CnotCount, InvariantUnderLocals)
                         expXxYyZz(0.3, 0.5, 0.0),
                         expXxYyZz(0.3, 0.5, 0.7)};
         for (const Mat4 &g : gates)
-            EXPECT_EQ(cnotCount(dressLocal(g, rng)), cnotCount(g));
+            EXPECT_EQ(cnotCount(gammaData(dressLocal(g, rng))),
+                      cnotCount(gammaData(g)));
     }
 }
 
 TEST(ClassPredicates, KnownGates)
 {
     std::mt19937_64 rng(32);
-    EXPECT_TRUE(isLocalClass(kron(randomSu2(rng), randomSu2(rng))));
-    EXPECT_FALSE(isLocalClass(cnot(0, 1)));
+    EXPECT_TRUE(
+        isLocalClass(gammaData(kron(randomSu2(rng), randomSu2(rng)))));
+    EXPECT_FALSE(isLocalClass(gammaData(cnot(0, 1))));
 
-    EXPECT_TRUE(isCnotClass(cnot(0, 1)));
-    EXPECT_TRUE(isCnotClass(czGate()));
-    EXPECT_FALSE(isCnotClass(iswapGate()));
+    EXPECT_TRUE(isCnotClass(gammaData(cnot(0, 1))));
+    EXPECT_TRUE(isCnotClass(gammaData(czGate())));
+    EXPECT_FALSE(isCnotClass(gammaData(iswapGate())));
 
-    EXPECT_TRUE(isIswapClass(iswapGate()));
-    EXPECT_FALSE(isIswapClass(cnot(0, 1)));
-    EXPECT_FALSE(isIswapClass(swapGate()));
+    EXPECT_TRUE(isIswapClass(gammaData(iswapGate())));
+    EXPECT_FALSE(isIswapClass(gammaData(cnot(0, 1))));
+    EXPECT_FALSE(isIswapClass(gammaData(swapGate())));
 
-    EXPECT_TRUE(isSwapClass(swapGate()));
-    EXPECT_FALSE(isSwapClass(iswapGate()));
+    EXPECT_TRUE(isSwapClass(gammaData(swapGate())));
+    EXPECT_FALSE(isSwapClass(gammaData(iswapGate())));
 
-    EXPECT_TRUE(isSycClass(sycGate()));
-    EXPECT_FALSE(isSycClass(swapGate()));
-    EXPECT_FALSE(isSycClass(iswapGate()));
+    EXPECT_TRUE(isSycClass(gammaData(sycGate())));
+    EXPECT_FALSE(isSycClass(gammaData(swapGate())));
+    EXPECT_FALSE(isSycClass(gammaData(iswapGate())));
 
-    EXPECT_TRUE(hasZeroCz(cnot(0, 1)));
-    EXPECT_TRUE(hasZeroCz(iswapGate()));
-    EXPECT_TRUE(hasZeroCz(expXxYyZz(0.3, 0.8, 0.0)));
-    EXPECT_FALSE(hasZeroCz(swapGate()));
-    EXPECT_FALSE(hasZeroCz(expXxYyZz(0.3, 0.8, 0.2)));
+    EXPECT_TRUE(hasZeroCz(gammaData(cnot(0, 1))));
+    EXPECT_TRUE(hasZeroCz(gammaData(iswapGate())));
+    EXPECT_TRUE(hasZeroCz(gammaData(expXxYyZz(0.3, 0.8, 0.0))));
+    EXPECT_FALSE(hasZeroCz(gammaData(swapGate())));
+    EXPECT_FALSE(hasZeroCz(gammaData(expXxYyZz(0.3, 0.8, 0.2))));
 }
 
 TEST(WeylCoords, KnownGates)
