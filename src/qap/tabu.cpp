@@ -24,35 +24,52 @@ namespace qap {
  * contract on two paths:
  *
  *  - Integral data (hop-distance QAPs: flows are interaction counts,
- *    distances are hop counts).  Every delta is a sum of products of
- *    small integers, each exactly representable in a double, so any
- *    rearrangement of the sum is computed without rounding and is
- *    bit-equal to a fresh evaluation (a zero may come out as -0.0,
- *    which compares equal).  Two rearrangements are used; p is the
- *    post-exchange permutation, {u,v} the moved pair.
+ *    distances are hop counts).  Every flow and distance is an
+ *    integer of magnitude <= 2^20, so a product stays <= 2^40 and a
+ *    sum of up to ~2^12 of them below 2^53: every intermediate below
+ *    is an integer a double holds exactly, no operation rounds, and
+ *    any rearrangement of a delta is bit-equal to a fresh evaluation
+ *    (a zero may come out as -0.0, which compares equal).  The
+ *    rearrangement used is the location-cost matrix
  *
- *    Rows of a flow partner w of u or v take Taillard's O(1)
- *    correction, valid for {a,b} disjoint from {u,v}:
+ *        G[m][x] = sum_k f[m][k] * d[x][p[k]],    C[m] = G[m][p[m]]
  *
- *        delta'(a,b) = delta(a,b) + (g_a - g_b) * (h_b - h_a),
- *        g_x = f[x][u] - f[x][v],
- *        h_x = d[p[x]][p[u]] - d[p[x]][p[v]]
+ *    (G[m][x] is what m's interactions would cost were m at x), with
+ *    every entry in one closed form:
  *
- *    Pairs touching a moved facility s are rebuilt from the self
- *    costs C[x] = sum_j f[x][j] * d[p[x]][p[j]], kept current for
- *    the touched facilities (u, v and their flow partners):
+ *        delta(a,b) = G[a][p[b]] - C[a] + G[b][p[a]] - C[b]
+ *                     + 2 f[a][b] * d[p[a]][p[b]]
  *
- *        delta(s,m) = S[p[m]] - C[s] + (F q)[m] - C[m]
- *                     + 2 f[s][m] * d[p[s]][p[m]],
- *        S[x] = sum_k f[s][k] * d[p[k]][x],   q[j] = d[p[s]][p[j]]
+ *    G[a][p[b]] - C[a] (relocation()) moves a to b's location and
+ *    G[b][p[a]] - C[b] moves b to a's; both count the a-b
+ *    interaction as if the other end stayed put, which the last term
+ *    (nonzero only for flow partners) puts right, given a zero
+ *    distance diagonal.  Dummies (index >= n) carry no flow, so their
+ *    G and C are zero.
  *
- *    S[p[m]] - C[s] moves s to p[m] and (F q)[m] - C[m] moves m to
- *    p[s]; both count the s-m interaction as if the other end stayed
- *    put, which the last term (nonzero only for s's own partners)
- *    puts right, given a zero distance diagonal.  S and q are
- *    gathered once per moved facility, so each entry costs deg(m)
- *    sequential reads where evaluate() makes 2 deg random loads all
- *    over the distance matrix.
+ *    After u and v exchange (p is the post-exchange permutation) only
+ *    the k = u and k = v terms of G change:
+ *
+ *        G'[m] = G[m] + g_m * Du,   g_m = f[m][u] - f[m][v],
+ *        Du[x] = d[p[u]][x] - d[p[v]][x]
+ *
+ *    and g_m is zero unless m is a flow partner of u or v.  C moves
+ *    with G, and for u and v also because p[u] and p[v] moved; u, v
+ *    and their partners are the touched set.  With h_x = Du[p[x]], an
+ *    entry (a,b) with neither end moved changes by Taillard's
+ *    correction
+ *
+ *        delta'(a,b) = delta(a,b) + (g_a - g_b) * (h_b - h_a)
+ *
+ *    which vanishes unless a or b is touched.  So update() brings G
+ *    and C up to date for the touched rows, corrects the partner
+ *    rows (and, for untouched a where g_a = 0, their column entries
+ *    g_w * (h_a - h_w)), then rewrites every pair of a moved
+ *    facility from the closed form.  The corrections sweep whole
+ *    rows without testing for u and v, so they also pass over
+ *    entries paired with a moved facility, which hold no valid
+ *    delta to correct; the moved rows are rewritten after them so
+ *    those entries end up exact.
  *
  *  - Non-integral data (noise-aware distances): the correction could
  *    round differently from a fresh evaluation and flip near-tie
@@ -75,42 +92,32 @@ namespace qap {
 
 namespace {
 
-/** Exactly-representable small integer: products of two such values
- * stay <= 2^40 and sums of up to ~2^12 of those stay < 2^53, so all
- * delta arithmetic on them is exact. */
+/** Exactly-representable small integer (see the contract above).
+ * The range test runs first, so the int conversion is defined. */
 bool
 isSmallInteger(double v)
 {
-    return v == std::floor(v) && std::fabs(v) <= 1048576.0;  // 2^20
+    return std::fabs(v) <= 1048576.0 &&  // 2^20
+           v == static_cast<double>(static_cast<std::int32_t>(v));
 }
 
+/** Whether dist is a symmetric small-integer matrix with a zero
+ * diagonal, in one row-major pass. */
 bool
-allSmallIntegers(const linalg::FlatMatrix &m)
+isIntegralMetric(const linalg::FlatMatrix &m)
 {
-    const double *p = m.data();
-    size_t count = static_cast<size_t>(m.rows()) * m.cols();
-    for (size_t i = 0; i < count; ++i)
-        if (!isSmallInteger(p[i]))
+    int n = m.rows();
+    for (int i = 0; i < n; ++i) {
+        const double *row = m[i];
+        if (row[i] != 0.0)
             return false;
-    return true;
-}
-
-bool
-isSymmetric(const linalg::FlatMatrix &m)
-{
-    for (int i = 0; i < m.rows(); ++i)
-        for (int j = i + 1; j < m.cols(); ++j)
-            if (m[i][j] != m[j][i])
+        for (int j = 0; j < n; ++j)
+            if (!isSmallInteger(row[j]))
                 return false;
-    return true;
-}
-
-bool
-hasZeroDiagonal(const linalg::FlatMatrix &m)
-{
-    for (int i = 0; i < m.rows(); ++i)
-        if (m[i][i] != 0.0)
-            return false;
+        for (int j = 0; j < i; ++j)
+            if (row[j] != m[j][i])
+                return false;
+    }
     return true;
 }
 
@@ -149,48 +156,50 @@ DeltaTable::DeltaTable(const linalg::FlatMatrix &flow,
     if (n_ > nloc_)
         throw std::invalid_argument("DeltaTable: flow exceeds dist");
 
-    // update() infers the stale entries from the moved facilities'
-    // flow rows, which is only sound when flow is symmetric; the
-    // integral rearrangements additionally read dist by row where the
-    // derivation says column, so they need dist symmetric too, and
-    // the moved-facility form assumes d[x][x] == 0.  All of this
-    // holds for every flow/distance matrix the compiler builds.
-    flowSymmetric_ = isSymmetric(flow);
-    exact_ = flowSymmetric_ && allSmallIntegers(flow) &&
-             allSmallIntegers(dist) && isSymmetric(dist) &&
-             hasZeroDiagonal(dist);
-
-    nzOff_.assign(n_ + 1, 0);
+    // One pass builds the CSR and checks the flow: symmetry needs
+    // only the nonzeros (an asymmetric pair has a nonzero side, whose
+    // mirror test fails), and zeros are small integers.
+    bool flowIntegral = true;
+    flowSymmetric_ = true;
+    nzOff_.resize(n_ + 1);
+    nzOff_[0] = 0;
+    // 2-local flows have a few partners per facility.
+    nzCol_.reserve(4 * static_cast<size_t>(n_));
+    nzVal_.reserve(4 * static_cast<size_t>(n_));
     for (int i = 0; i < n_; ++i) {
         const double *row = flow[i];
-        int nz = 0;
-        for (int j = 0; j < n_; ++j)
-            if (row[j] != 0.0)
-                ++nz;
-        nzOff_[i + 1] = nzOff_[i] + nz;
-    }
-    nzCol_.resize(nzOff_[n_]);
-    nzVal_.resize(nzOff_[n_]);
-    for (int i = 0, k = 0; i < n_; ++i) {
-        const double *row = flow[i];
-        for (int j = 0; j < n_; ++j)
-            if (row[j] != 0.0) {
-                nzCol_[k] = j;
-                nzVal_[k] = row[j];
-                ++k;
-            }
+        for (int j = 0; j < n_; ++j) {
+            double f = row[j];
+            if (f == 0.0)
+                continue;
+            nzCol_.push_back(j);
+            nzVal_.push_back(f);
+            flowSymmetric_ = flowSymmetric_ && flow[j][i] == f;
+            flowIntegral = flowIntegral && isSmallInteger(f);
+        }
+        nzOff_[i + 1] = static_cast<int>(nzCol_.size());
     }
 
-    table_.assign(static_cast<size_t>(n_) * nloc_, 0.0);
+    // update() infers the stale entries from the moved facilities'
+    // flow rows, which is only sound when flow is symmetric; the
+    // integral path additionally reads dist by row where the
+    // derivation says column, so it needs dist symmetric too, and
+    // the closed form assumes d[x][x] == 0.  All of this holds for
+    // every flow/distance matrix the compiler builds.
+    exact_ = flowSymmetric_ && flowIntegral && isIntegralMetric(dist);
+
+    table_.resize(static_cast<size_t>(n_) * nloc_);
     rowLo_.assign(n_, 0.0);
-    self_.assign(n_, 0.0);
     touched_.reserve(nloc_);
     inSet_.assign(nloc_, 0);
-    g_.assign(nloc_, 0.0);
-    h_.assign(nloc_, 0.0);
-    s_.assign(nloc_, 0.0);
-    q_.assign(n_, 0.0);
-    pf_.assign(n_, 0.0);
+    if (exact_) {
+        locCost_.resize(static_cast<size_t>(n_) * nloc_);
+        selfCost_.assign(n_, 0.0);
+        g_.assign(nloc_, 0.0);
+        h_.assign(nloc_, 0.0);
+        untouched_.assign(n_, 1.0);
+        du_.assign(nloc_, 0.0);
+    }
 }
 
 double
@@ -222,13 +231,9 @@ DeltaTable::evaluate(const std::vector<int> &perm, int a, int b) const
 }
 
 double
-DeltaTable::selfCost(const std::vector<int> &perm, int x) const
+DeltaTable::relocation(int m, int x) const
 {
-    const double *dx = (*dist_)[perm[x]];
-    double c = 0.0;
-    for (int k = nzOff_[x]; k < nzOff_[x + 1]; ++k)
-        c += nzVal_[k] * dx[perm[nzCol_[k]]];
-    return c;
+    return locCost_[static_cast<size_t>(m) * nloc_ + x] - selfCost_[m];
 }
 
 void
@@ -255,14 +260,58 @@ DeltaTable::tightenRow(int a)
 void
 DeltaTable::reset(const std::vector<int> &perm)
 {
-    for (int a = 0; a < n_; ++a) {
-        double *row = table_.data() + static_cast<size_t>(a) * nloc_;
-        for (int b = a + 1; b < nloc_; ++b)
-            row[b] = evaluate(perm, a, b);
-        tightenRow(a);
-        if (exact_)
-            self_[a] = selfCost(perm, a);
+    if (!exact_) {
+        for (int a = 0; a < n_; ++a) {
+            double *row = table_.data() + static_cast<size_t>(a) * nloc_;
+            for (int b = a + 1; b < nloc_; ++b)
+                row[b] = evaluate(perm, a, b);
+            tightenRow(a);
+        }
+        return;
     }
+
+    // G row m is the flow-weighted sum of m's partners' distance rows
+    // (dist is symmetric here); the first partner assigns, so no row
+    // is zeroed first.
+    for (int m = 0; m < n_; ++m) {
+        double *gm = locCost_.data() + static_cast<size_t>(m) * nloc_;
+        int k0 = nzOff_[m], k1 = nzOff_[m + 1];
+        if (k0 == k1) {
+            std::fill(gm, gm + nloc_, 0.0);
+        } else {
+            const double *drow = (*dist_)[perm[nzCol_[k0]]];
+            double f = nzVal_[k0];
+            for (int x = 0; x < nloc_; ++x)
+                gm[x] = f * drow[x];
+        }
+        for (int k = k0 + 1; k < k1; ++k) {
+            const double *drow = (*dist_)[perm[nzCol_[k]]];
+            double f = nzVal_[k];
+            for (int x = 0; x < nloc_; ++x)
+                gm[x] += f * drow[x];
+        }
+        selfCost_[m] = gm[perm[m]];
+    }
+
+    for (int a = 0; a < n_; ++a) {
+        fillRow(perm, a);
+        tightenRow(a);
+    }
+}
+
+void
+DeltaTable::fillRow(const std::vector<int> &perm, int a)
+{
+    int pa = perm[a];
+    double *row = table_.data() + static_cast<size_t>(a) * nloc_;
+    for (int b = a + 1; b < n_; ++b)
+        row[b] = relocation(a, perm[b]) + relocation(b, pa);
+    for (int b = std::max(n_, a + 1); b < nloc_; ++b)
+        row[b] = relocation(a, perm[b]);
+    const double *da = (*dist_)[pa];
+    for (int k = nzOff_[a]; k < nzOff_[a + 1]; ++k)
+        if (nzCol_[k] > a)
+            row[nzCol_[k]] += 2.0 * nzVal_[k] * da[perm[nzCol_[k]]];
 }
 
 void
@@ -288,6 +337,7 @@ DeltaTable::update(const std::vector<int> &perm, int u, int v)
     if (v < n_)
         for (int k = nzOff_[v]; k < nzOff_[v + 1]; ++k)
             mark(nzCol_[k]);
+    rowsRefreshed_ += touched_.size();
 
     if (!exact_) {
         // Non-integral data: re-evaluate every stale entry in
@@ -315,42 +365,63 @@ DeltaTable::update(const std::vector<int> &perm, int u, int v)
         return;
     }
 
-    // Integral fast path.  g is the sparse flow-difference column
-    // and h the dense distance-difference column of the O(1)
-    // correction; both are exact integers, so every path below
-    // produces the same bits evaluate() would.
-    int lu = perm[u], lv = perm[v];
-    const double *dlu = (*dist_)[lu];
-    const double *dlv = (*dist_)[lv];
+    // Integral path (see the contract at the top of this block).
+    const double *dlu = (*dist_)[perm[u]];
+    const double *dlv = (*dist_)[perm[v]];
     for (int x = 0; x < nloc_; ++x)
-        h_[x] = dlu[perm[x]] - dlv[perm[x]];
+        du_[x] = dlu[x] - dlv[x];
+    for (int x = 0; x < nloc_; ++x)
+        h_[x] = du_[perm[x]];
     if (u < n_)
         for (int k = nzOff_[u]; k < nzOff_[u + 1]; ++k)
             g_[nzCol_[k]] += nzVal_[k];
     if (v < n_)
         for (int k = nzOff_[v]; k < nzOff_[v + 1]; ++k)
             g_[nzCol_[k]] -= nzVal_[k];
-    // The touched set is exactly the facilities whose self cost read
-    // slot u or v.
-    for (int s : touched_)
-        if (s < n_)
-            self_[s] = selfCost(perm, s);
 
+    // G and C of every touched facility; no other row of G changed.
     for (int s : touched_) {
-        if (s == u || s == v)
-            refreshMovedFacility(perm, s, u, v);
-        else
-            correctPartnerRow(s, u, v);
+        if (s >= n_)
+            continue;
+        double *gs = locCost_.data() + static_cast<size_t>(s) * nloc_;
+        double c = g_[s];
+        if (c != 0.0)
+            for (int x = 0; x < nloc_; ++x)
+                gs[x] += c * du_[x];
+        selfCost_[s] = gs[perm[s]];
+        untouched_[s] = 0.0;
     }
-    // The moved rows are whole again (the (u, v) entry was written on
-    // u's turn, into whichever row holds it).
-    if (u < n_)
-        tightenRow(u);
-    if (v < n_)
-        tightenRow(v);
 
-    for (int s : touched_)
+    // Partner rows, before the moved facilities' pairs are written.
+    // A pair of two partners is corrected once, in the smaller one's
+    // row; its column entries in other touched rows are masked out
+    // (those rows correct their own), and in untouched rows g_a = 0.
+    for (int w : touched_) {
+        if (w == u || w == v)
+            continue;
+        double gw = g_[w], hw = h_[w];
+        double *row = table_.data() + static_cast<size_t>(w) * nloc_;
+        for (int b = w + 1; b < nloc_; ++b)
+            row[b] += (gw - g_[b]) * (h_[b] - hw);
+        if (gw != 0.0)
+            for (int a = 0; a < w; ++a) {
+                double &e = table_[static_cast<size_t>(a) * nloc_ + w];
+                e += untouched_[a] * gw * (h_[a] - hw);
+                lower(a, e);
+            }
+    }
+
+    rewriteMoved(perm, u);
+    rewriteMoved(perm, v);
+
+    // Every touched row is exact now.
+    for (int s : touched_) {
         inSet_[s] = 0;
+        if (s < n_) {
+            tightenRow(s);
+            untouched_[s] = 1.0;
+        }
+    }
     if (u < n_)
         for (int k = nzOff_[u]; k < nzOff_[u + 1]; ++k)
             g_[nzCol_[k]] = 0.0;
@@ -360,108 +431,28 @@ DeltaTable::update(const std::vector<int> &perm, int u, int v)
 }
 
 void
-DeltaTable::refreshMovedFacility(const std::vector<int> &perm, int s,
-                                 int u, int v)
+DeltaTable::rewriteMoved(const std::vector<int> &perm, int s)
 {
-    // Owns every pair that includes the moved facility s; the pair
-    // (u, v) itself is refreshed on u's turn only.
-    const double *dps = (*dist_)[perm[s]];
-    for (int j = 0; j < n_; ++j)
-        q_[j] = dps[perm[j]];
-    auto fq = [this](int m) {
-        double x = 0.0;
-        for (int k = nzOff_[m]; k < nzOff_[m + 1]; ++k)
-            x += nzVal_[k] * q_[nzCol_[k]];
-        return x;
-    };
-
+    // Writes every pair of the moved facility s from the closed form,
+    // one load of G[m][p[s]] per entry; the pair of the two moved
+    // facilities is written on both turns, with the same value.
+    const int ps = perm[s];
     if (s >= n_) {
-        // A dummy was moved: it carries no flow, so S, C[s] and the
-        // partner term vanish and only the n real rows pair with it.
-        for (int a = 0; a < n_; ++a) {
-            if (a == u && s == v)
-                continue;
-            write(a, s, fq(a) - self_[a]);
-        }
+        // A moved dummy has no G row, no cost and no partners.
+        for (int a = 0; a < n_; ++a)
+            write(a, s, relocation(a, ps));
         return;
     }
-
-    // S = s_ over every location; pf_ holds f[s][m] for the partner
-    // term.  A pair with a flowless partner m reduces to the pure
-    // relocation S[p[m]] - C[s].
-    std::fill(s_.begin(), s_.end(), 0.0);
-    for (int k = nzOff_[s]; k < nzOff_[s + 1]; ++k) {
-        const double *drow = (*dist_)[perm[nzCol_[k]]];
-        double f = nzVal_[k];
-        for (int x = 0; x < nloc_; ++x)
-            s_[x] += f * drow[x];
-        pf_[nzCol_[k]] = f;
-    }
-    double cs = self_[s];
-
-    for (int m = 0; m < n_; ++m) {
-        if (m == s || (s == v && m == u))
-            continue;
-        double dd = s_[perm[m]] - cs + fq(m) - self_[m] +
-                    2.0 * pf_[m] * q_[m];
-        write(std::min(s, m), std::max(s, m), dd);
-    }
+    for (int a = 0; a < s; ++a)
+        write(a, s, relocation(a, ps) + relocation(s, perm[a]));
+    // The partner term of those column entries; every partner's row
+    // is touched, so its bound is tightened after this.
+    const double *dps = (*dist_)[ps];
     for (int k = nzOff_[s]; k < nzOff_[s + 1]; ++k)
-        pf_[nzCol_[k]] = 0.0;
-    double *row = table_.data() + static_cast<size_t>(s) * nloc_;
-    for (int b = std::max(n_, s + 1); b < nloc_; ++b) {
-        if (s == v && b == u)
-            continue;
-        row[b] = s_[perm[b]] - cs;
-    }
-}
-
-void
-DeltaTable::correctPartnerRow(int w, int u, int v)
-{
-    // Applies delta += (g_a - g_b) * (h_b - h_a) to w's pairs.
-    // Pairs including u or v belong to refreshMovedFacility; pairs
-    // of two partners are corrected once, on the smaller index's
-    // turn (the formula covers both ends in one application).
-    double gw = g_[w];
-    double hw = h_[w];
-    for (int a = 0; a < w; ++a) {
-        if (a == u || a == v || inSet_[a])
-            continue;
-        double coeff = g_[a] - gw;
-        if (coeff != 0.0) {
-            double &e = table_[static_cast<size_t>(a) * nloc_ + w];
-            e += coeff * (hw - h_[a]);
-            lower(a, e);
-        }
-    }
-    double *row = table_.data() + static_cast<size_t>(w) * nloc_;
-    for (int b = w + 1; b < n_; ++b) {
-        if (b == u || b == v)
-            continue;
-        double coeff = gw - g_[b];
-        if (coeff != 0.0)
-            row[b] += coeff * (h_[b] - hw);
-    }
-    // Dummy tail: flowless locations have g = 0, and the only
-    // touched index >= n can be a moved dummy v — excluded, so the
-    // whole span is one branch-free fused multiply-add sweep.
-    if (gw != 0.0) {
-        auto sweep = [&](int lo, int hi) {
-            for (int b = lo; b < hi; ++b)
-                row[b] += gw * (h_[b] - hw);
-        };
-        int lo = std::max(n_, w + 1);
-        if (v >= lo) {
-            sweep(lo, v);
-            sweep(v + 1, nloc_);
-        } else {
-            sweep(lo, nloc_);
-        }
-    }
-    // Every entry of the row not owned by u or v is final now, and
-    // those are written through write(), which lowers the bound.
-    tightenRow(w);
+        if (nzCol_[k] < s)
+            table_[static_cast<size_t>(nzCol_[k]) * nloc_ + s] +=
+                2.0 * nzVal_[k] * dps[perm[nzCol_[k]]];
+    fillRow(perm, s);
 }
 
 namespace {
@@ -631,6 +622,8 @@ tabuSearchQapMatrix(const linalg::FlatMatrix &flow,
     core::profile::add("qap.tabu.rows_scanned", rowsScanned);
     core::profile::add("qap.tabu.rows_skipped", rowsSkipped);
     core::profile::add("qap.tabu.aspirations", aspirations);
+    core::profile::add("qap.tabu.rows_refreshed",
+                       deltas.rowsRefreshed());
     return Placement(best_perm.begin(), best_perm.begin() + n);
 }
 

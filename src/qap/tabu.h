@@ -15,18 +15,22 @@
  * accepted move refreshes only the entries whose inputs changed
  * (O(nloc * deg) for the bounded-degree flows of 2-local
  * Hamiltonians) instead of re-deriving every delta from the sparse
- * flow.  A per-row lower bound lets the scan skip whole rows that
- * cannot beat the best move found so far.  Every cached value is
- * bit-equal to a fresh evaluation and the skip drops only rows with
- * no possible winner, so results are bit-identical to the naive
- * rescanning kernel — the golden sweep is the oracle.
+ * flow.  On integral data every refreshed entry comes from one O(1)
+ * formula over a maintained location-cost matrix.  A per-row lower
+ * bound lets the scan skip whole rows that cannot beat the best move
+ * found so far.  Every cached value is bit-equal to a fresh
+ * evaluation and the skip drops only rows with no possible winner,
+ * so results are bit-identical to the naive rescanning kernel — the
+ * golden sweep is the oracle.
  */
 
 #ifndef TQAN_QAP_TABU_H
 #define TQAN_QAP_TABU_H
 
 #include <cstdint>
+#include <memory>
 #include <random>
+#include <vector>
 
 #include "qap/qap.h"
 
@@ -55,12 +59,17 @@ struct TabuOptions
  * evaluate() returns (up to the sign of a zero).  When every flow and
  * distance entry is a small integer (the hop-distance QAP — the
  * paper's case), every delta is an exactly-representable integer, so
- * any summation order gives the same bits: the rows of the moved
- * facilities are rebuilt from per-facility self costs in O(1) per
- * entry, and the flow-partner rows take Taillard's O(1) algebraic
- * correction.  Non-integral distance matrices (noise-aware
- * placement) take the slower path: full re-evaluation in evaluate()
- * order, so the guarantee holds there too.
+ * any summation order gives the same bits.  That path keeps the
+ * location-cost matrix G[m][x] = sum_k f_mk * d[x][p_k] (the cost of
+ * facility m's interactions were it at location x) and its diagonal
+ * C[m] = G[m][p_m], and every entry has one closed form:
+ *
+ *     delta(a, b) = G[a][p_b] - C[a] + G[b][p_a] - C[b]
+ *                   + 2 f_ab d[p_a][p_b]
+ *
+ * Non-integral distance matrices (noise-aware placement) take the
+ * slower path: full re-evaluation in evaluate() order, so the
+ * guarantee holds there too.
  *
  * Row-bound invariant: rowBound(a) <= delta(a, b) for every b > a
  * (NaN entries aside, which never win a strict < comparison).  The
@@ -77,7 +86,8 @@ class DeltaTable
     DeltaTable(const linalg::FlatMatrix &flow,
                const linalg::FlatMatrix &dist);
 
-    /** Rebuild every entry for a new permutation (O(n*nloc*deg)). */
+    /** Rebuild every entry for a new permutation (O(n*nloc*deg)).
+     * Writes every entry the table reads; nothing is zeroed first. */
     void reset(const std::vector<int> &perm);
 
     /** Cached cost change of exchanging facilities a < b. */
@@ -102,6 +112,10 @@ class DeltaTable
      * u and v; `perm` is the permutation *after* the exchange. */
     void update(const std::vector<int> &perm, int u, int v);
 
+    /** Facilities whose entries update() refreshed, summed over
+     * every call: the moved pair plus their flow partners. */
+    std::uint64_t rowsRefreshed() const { return rowsRefreshed_; }
+
     int facilities() const { return n_; }
     int locations() const { return nloc_; }
 
@@ -116,6 +130,30 @@ class DeltaTable
     bool memoizable() const { return flowSymmetric_; }
 
   private:
+    /** std::allocator whose resize() leaves doubles unwritten: the
+     * big n x nloc buffers are written whole by reset() before
+     * anything reads them, so zeroing them first is a wasted pass. */
+    template <class T>
+    struct UninitAllocator : std::allocator<T>
+    {
+        template <class U>
+        struct rebind
+        {
+            using other = UninitAllocator<U>;
+        };
+        UninitAllocator() = default;
+        template <class U>
+        UninitAllocator(const UninitAllocator<U> &) noexcept
+        {
+        }
+        template <class U>
+        void construct(U *p) noexcept
+        {
+            ::new (static_cast<void *>(p)) U;
+        }
+    };
+    using Buffer = std::vector<double, UninitAllocator<double>>;
+
     const linalg::FlatMatrix *dist_;
     int n_ = 0;
     int nloc_ = 0;
@@ -125,26 +163,30 @@ class DeltaTable
      * are nzCol_/nzVal_[nzOff_[i] .. nzOff_[i+1]). */
     std::vector<int> nzOff_, nzCol_;
     std::vector<double> nzVal_;
-    std::vector<double> table_;  ///< n_ x nloc_, entries b > a used
+    Buffer table_;  ///< n_ x nloc_, entries b > a used
     std::vector<double> rowLo_;  ///< per-row lower bound of table_
-    /** self_[x] = sum_j f_xj * d[perm x][perm j]: facility x's share
-     * of the cost (integral path only). */
-    std::vector<double> self_;
+    /** Integral path only: the location-cost matrix G (n_ x nloc_)
+     * and C[m] = G[m][perm m], facility m's current cost. */
+    Buffer locCost_;
+    std::vector<double> selfCost_;
+    std::uint64_t rowsRefreshed_ = 0;
     std::vector<int> touched_;   ///< scratch: facilities to refresh
     std::vector<char> inSet_;    ///< scratch membership flags
-    std::vector<double> g_;      ///< scratch: flow-difference column
-    std::vector<double> h_;      ///< scratch: distance differences
-    std::vector<double> s_;      ///< scratch: moved-row dot products
-    std::vector<double> q_;      ///< scratch: distances to a moved slot
-    std::vector<double> pf_;     ///< scratch: a moved facility's flows
+    /** Scratch of update(), indexed by facility: g_x = f_xu - f_xv,
+     * h_x = d[p_u][p_x] - d[p_v][p_x], and the 0/1 mask of facilities
+     * the update does not touch. */
+    std::vector<double> g_, h_, untouched_;
+    std::vector<double> du_;     ///< scratch: d[p_u][x] - d[p_v][x]
 
-    double selfCost(const std::vector<int> &perm, int x) const;
+    /** G[m][x] - C[m]: the cost change of moving facility m alone
+     * to location x (integral path only). */
+    double relocation(int m, int x) const;
     void lower(int a, double value);
     void write(int a, int b, double value);
     void tightenRow(int a);
-    void refreshMovedFacility(const std::vector<int> &perm, int s,
-                              int u, int v);
-    void correctPartnerRow(int w, int u, int v);
+    /** Writes row a's entries (a, b > a) from the closed form. */
+    void fillRow(const std::vector<int> &perm, int a);
+    void rewriteMoved(const std::vector<int> &perm, int s);
 };
 
 /**

@@ -2,7 +2,7 @@
  * @file
  * Property tests of the Taillard-style memoized tabu kernel.
  *
- * Four guarantees are pinned here:
+ * Five guarantees are pinned here:
  *  1. the incremental DeltaTable always matches a brute-force
  *     costOf-style recomputation after every applied move (both the
  *     integral O(1)-correction path and the re-evaluation path), and
@@ -15,7 +15,9 @@
  *     cannot produce an inverted tenure distribution (UB before the
  *     clamp);
  *  4. the search publishes its algorithm counters (iterations, rows
- *     scanned and skipped, aspirations) to core/profile.
+ *     scanned, skipped and refreshed, aspirations) to core/profile;
+ *  5. one-trial placements above 100 qubits, where the reference
+ *     kernel is too slow to run, keep their recorded fnv1a64 hashes.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +26,7 @@
 #include <numeric>
 #include <random>
 
+#include "core/hash.h"
 #include "core/profile.h"
 #include "device/devices.h"
 #include "graph/random_graph.h"
@@ -177,6 +180,36 @@ expectRowBoundsHold(const DeltaTable &dt, int step)
                 << step;
 }
 
+/** Apply the exchange (u, v), u < v, to `perm` and `dt`, checking
+ * the cached move value against brute force before the update and
+ * every entry against fresh evaluation after it. */
+void
+applyAndCheck(DeltaTable &dt, const linalg::FlatMatrix &flow,
+              const linalg::FlatMatrix &dist, std::vector<int> &perm,
+              int u, int v, int step)
+{
+    int n = flow.rows(), nloc = dist.rows();
+
+    // The cached move value must match the brute-force cost change
+    // of actually applying the exchange...
+    double before = bruteCost(flow, dist, perm);
+    std::swap(perm[u], perm[v]);
+    double after = bruteCost(flow, dist, perm);
+    EXPECT_NEAR(dt.delta(u, v), after - before,
+                1e-9 * (1.0 + std::abs(after - before)))
+        << "move " << step << " (" << u << "," << v << ")";
+
+    // ...and after the incremental update every single entry must
+    // equal a fresh evaluation, bit for bit.
+    dt.update(perm, u, v);
+    for (int a = 0; a < n; ++a)
+        for (int b = a + 1; b < nloc; ++b)
+            ASSERT_EQ(dt.delta(a, b), dt.evaluate(perm, a, b))
+                << "entry (" << a << "," << b << ") after move "
+                << step << " (" << u << "," << v << ")";
+    expectRowBoundsHold(dt, step);
+}
+
 /** Drive a DeltaTable through `moves` random exchanges, checking it
  * against brute force and fresh evaluation after every one. */
 void
@@ -202,26 +235,19 @@ checkDeltaTable(const linalg::FlatMatrix &flow,
             continue;
         if (u > v)
             std::swap(u, v);
-
-        // The cached move value must match the brute-force cost
-        // change of actually applying the exchange...
-        double before = bruteCost(flow, dist, perm);
-        std::swap(perm[u], perm[v]);
-        double after = bruteCost(flow, dist, perm);
-        EXPECT_NEAR(dt.delta(u, v), after - before,
-                    1e-9 * (1.0 + std::abs(after - before)))
-            << "move " << step << " (" << u << "," << v << ")";
-
-        // ...and after the incremental update every single entry
-        // must equal a fresh evaluation, bit for bit.
-        dt.update(perm, u, v);
-        for (int a = 0; a < n; ++a)
-            for (int b = a + 1; b < nloc; ++b)
-                ASSERT_EQ(dt.delta(a, b), dt.evaluate(perm, a, b))
-                    << "entry (" << a << "," << b << ") after move "
-                    << step << " (" << u << "," << v << ")";
-        expectRowBoundsHold(dt, step);
+        applyAndCheck(dt, flow, dist, perm, u, v, step);
+        if (::testing::Test::HasFatalFailure())
+            return;
     }
+}
+
+/** Random QAOA layer on an Erdos-Renyi G(n, p) graph: the flows the
+ * compiler builds for dense inputs. */
+linalg::FlatMatrix
+denseQaoaFlow(int n, double p, std::mt19937_64 &rng)
+{
+    return flowMatrix(
+        ham::qaoaLayer(graph::erdosRenyi(n, p, rng), 0.3, 0.7));
 }
 
 } // namespace
@@ -246,6 +272,76 @@ TEST(DeltaTable, MatchesBruteForceOnIntegralInstances)
         ham::qaoaLayer(graph::randomRegularGraph(40, 3, rng), 0.3, 0.7));
     checkDeltaTable(qaoa, hopDistanceMatrix(device::heavyHex(5)), rng,
                     60, /*expectExact=*/true);
+}
+
+TEST(DeltaTable, MatchesBruteForceOnDenseFlows)
+{
+    // The cases above are sparse: a move touches 7-9 rows.  On a
+    // G(n, 0.5) QAOA flow it touches ~n/2 partner rows, most pairs
+    // of which are partners themselves, so the partner corrections
+    // overlap each other and the moved rows.
+    std::mt19937_64 rng(4040);
+    struct Case
+    {
+        int n;
+        int distance;
+    };
+    for (Case c : {Case{40, 5}, Case{60, 7}}) {
+        SCOPED_TRACE("G(" + std::to_string(c.n) + ", 0.5) on heavyhex:" +
+                     std::to_string(c.distance));
+        auto flow = denseQaoaFlow(c.n, 0.5, rng);
+        auto dist = hopDistanceMatrix(device::heavyHex(c.distance));
+        int nloc = dist.rows();
+        ASSERT_GT(nloc, c.n);
+
+        // Forced exchanges: 0 with a flow partner, 0 with a
+        // non-partner that shares a partner with it, and facilities
+        // with dummy locations.
+        int partner = -1, sharer = -1;
+        for (int j = 1; j < c.n; ++j) {
+            if (flow[0][j] != 0.0) {
+                if (partner < 0)
+                    partner = j;
+                continue;
+            }
+            for (int k = 1; k < c.n && sharer < 0; ++k)
+                if (flow[0][k] != 0.0 && flow[j][k] != 0.0)
+                    sharer = j;
+        }
+        ASSERT_GE(partner, 0);
+        ASSERT_GE(sharer, 0);
+        const std::pair<int, int> forced[] = {
+            {0, partner}, {0, sharer}, {partner, sharer},
+            {0, c.n},     {sharer, nloc - 1}, {0, partner},
+        };
+
+        std::vector<int> perm(nloc);
+        std::iota(perm.begin(), perm.end(), 0);
+        std::shuffle(perm.begin(), perm.end(), rng);
+        DeltaTable dt(flow, dist);
+        ASSERT_TRUE(dt.exactArithmetic());
+        dt.reset(perm);
+        expectRowBoundsHold(dt, -1);
+
+        std::uniform_int_distribution<int> pickA(0, c.n - 1);
+        std::uniform_int_distribution<int> pickB(0, nloc - 1);
+        int step = 0;
+        for (int round = 0; round < 3; ++round) {
+            for (auto [u, v] : forced) {
+                applyAndCheck(dt, flow, dist, perm, std::min(u, v),
+                              std::max(u, v), step++);
+                ASSERT_FALSE(HasFatalFailure());
+            }
+            for (int r = 0; r < 10; ++r) {
+                int u = pickA(rng), v = pickB(rng);
+                if (u == v)
+                    continue;
+                applyAndCheck(dt, flow, dist, perm, std::min(u, v),
+                              std::max(u, v), step++);
+                ASSERT_FALSE(HasFatalFailure());
+            }
+        }
+    }
 }
 
 TEST(DeltaTable, MatchesBruteForceOnNoiseAwareDistances)
@@ -356,6 +452,31 @@ TEST(TabuBitIdentity, MatchesReferenceKernelOnLargeSparseFlows)
     }
 }
 
+TEST(TabuBitIdentity, MatchesReferenceKernelOnDenseFlows)
+{
+    // Dense G(n, 0.5) flows, where every accepted move corrects ~n/2
+    // partner rows.  maxIters is capped so the reference kernel
+    // stays fast on every per-ISA rerun.
+    TabuOptions opt;
+    opt.maxIters = 200;
+    std::mt19937_64 gen(4200);
+    struct Case
+    {
+        int n;
+        int distance;
+    };
+    for (Case c : {Case{40, 5}, Case{60, 7}}) {
+        auto flow = denseQaoaFlow(c.n, 0.5, gen);
+        auto dist = hopDistanceMatrix(device::heavyHex(c.distance));
+        std::uint64_t seed = gen();
+        std::mt19937_64 r1(seed), r2(seed);
+        EXPECT_EQ(tabuSearchQapMatrix(flow, dist, r1, opt),
+                  referenceTabu(flow, dist, r2, opt))
+            << "G(" << c.n << ", 0.5) on heavyhex:" << c.distance
+            << " seed " << seed;
+    }
+}
+
 TEST(TabuBitIdentity, AsymmetricFlowFallsBackToRescan)
 {
     // The public API accepts arbitrary matrices, but memoized
@@ -443,6 +564,48 @@ TEST(TabuBitIdentityJobs, ParallelTrialsMatchSequential)
     Placement seq = bestOfTabu(flow, dist, 4242, 5, TabuOptions(), 1);
     Placement par = bestOfTabu(flow, dist, 4242, 5, TabuOptions(), 8);
     EXPECT_EQ(seq, par);
+}
+
+TEST(TabuPins, LatticeScalePlacementsUnchanged)
+{
+    // fnv1a64 of one-trial placements above 100 qubits, the sizes
+    // lattice_stream compiles, recorded from the kernel before the
+    // location-cost matrix.  The reference kernel is too slow to run
+    // at this size, so these pins are the bit-identity check there;
+    // any change that moves one placement moves its hash.
+    struct Pin
+    {
+        const char *what;
+        linalg::FlatMatrix flow;
+        const char *device;
+        std::uint64_t hash;
+    };
+    std::mt19937_64 gen(2718);
+    std::vector<Pin> pins;
+    pins.push_back({"qaoa3 n=400",
+                    flowMatrix(ham::qaoaLayer(
+                        graph::randomRegularGraph(400, 3, gen), 0.3,
+                        0.7)),
+                    "grid:20x20", 0xfe05a48974627e25ull});
+    pins.push_back({"heis n=400", flowMatrix(ham::nnnHeisenberg(400, gen)),
+                    "grid:20x20", 0x927f1f9dc76dd57dull});
+    pins.push_back({"qaoa3 n=200",
+                    flowMatrix(ham::qaoaLayer(
+                        graph::randomRegularGraph(200, 3, gen), 0.3,
+                        0.7)),
+                    "heavyhex:11", 0x4603f67fdfd2ee93ull});
+    pins.push_back({"G(60, 0.5)", denseQaoaFlow(60, 0.5, gen),
+                    "heavyhex:7", 0x99bd8fdb33439dc0ull});
+    for (const Pin &pin : pins) {
+        auto dist =
+            hopDistanceMatrix(device::deviceByName(pin.device));
+        Placement p = bestOfTabu(pin.flow, dist, 31, 1);
+        std::uint64_t hash =
+            core::fnv1a64(p.data(), p.size() * sizeof(p[0]));
+        EXPECT_EQ(hash, pin.hash)
+            << pin.what << " on " << pin.device << ": 0x" << std::hex
+            << hash;
+    }
 }
 
 TEST(TabuTinyDevices, ValidPlacementsFor2To4Qubits)
@@ -545,4 +708,17 @@ TEST(TabuCounters, PublishedOncePerSearch)
     EXPECT_GT(moves, 0u);
     EXPECT_LE(moves, iters);
     EXPECT_LE(counterOf(stats, "qap.tabu.aspirations"), moves);
+    // Each accepted move refreshes the exchanged pair and at most
+    // every flow partner of either.
+    std::uint64_t maxdeg = 0;
+    for (int i = 0; i < flow.rows(); ++i) {
+        std::uint64_t deg = 0;
+        for (int j = 0; j < flow.cols(); ++j)
+            deg += (j != i && flow[i][j] != 0.0);
+        maxdeg = std::max(maxdeg, deg);
+    }
+    std::uint64_t refreshed =
+        counterOf(stats, "qap.tabu.rows_refreshed");
+    EXPECT_GE(refreshed, 2 * moves);
+    EXPECT_LE(refreshed, moves * (2 + 2 * maxdeg));
 }
